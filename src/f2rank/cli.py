@@ -30,7 +30,7 @@ from .search import (
     n3_structured_certificate,
     isomorphic,
 )
-from .spectral import jacobi_spectrum
+from .spectral import graph_spectrum
 from .verify import SrgParams, full_report
 
 SPECTRUM_VERTEX_CAP = 1024
@@ -119,7 +119,7 @@ def cmd_spectrum(args) -> int:
             file=sys.stderr,
         )
         return 2
-    spec = jacobi_spectrum(g.adj.to_bool_array().astype(float), tol=args.tol)
+    spec = graph_spectrum(g)
     sys.stdout.write(json.dumps(spec.to_json(), indent=2) + "\n")
     return 0
 
@@ -202,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalues with multiplicities (JSON)")
     p.add_argument("input")
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("search", help="run an exhaustive certification sweep")

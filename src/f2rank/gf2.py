@@ -385,77 +385,9 @@ def rank_of_row_ints(row_ints: Sequence[int], cols: int) -> int:
     return rank
 
 
-def _rank_m4r(row_ints: Sequence[int], cols: int, k: int = 8) -> int:
-    """Rank via elimination in column strips with combination tables.
-
-    Within each strip of k columns the pivots are Gauss-Jordan reduced
-    against one another, then every other row clears all its strip bits
-    with a single table lookup and XOR.
-    """
-    work = [r for r in row_ints if r]
-    rank = 0
-    for base in range(0, cols, k):
-        if rank >= len(work):
-            break
-        width = min(k, cols - base)
-        pivots: list[int] = []  # rows reduced within the strip
-        pivot_cols: list[int] = []
-        for col in range(base, base + width):
-            colmask = 1 << col
-            found = None
-            for r in range(rank, len(work)):
-                if work[r] & colmask:
-                    found = r
-                    break
-            if found is None:
-                continue
-            work[rank], work[found] = work[found], work[rank]
-            pv = work[rank]
-            # clear earlier strip pivot columns from the new pivot and
-            # clear this column from earlier pivots (Jordan within strip)
-            for idx, pcol in enumerate(pivot_cols):
-                if pv & (1 << pcol):
-                    pv ^= pivots[idx]
-            for idx in range(len(pivots)):
-                if pivots[idx] & colmask:
-                    pivots[idx] ^= pv
-            work[rank] = pv
-            for r in range(rank + 1, len(work)):
-                if work[r] & colmask:
-                    work[r] ^= pv
-            pivots.append(pv)
-            pivot_cols.append(col)
-            rank += 1
-        if not pivots:
-            continue
-        # table of all pivot combinations, indexed by strip bit pattern
-        t = len(pivots)
-        table = [0] * (1 << t)
-        for p in range(1, 1 << t):
-            low = p & -p
-            table[p] = table[p ^ low] ^ pivots[low.bit_length() - 1]
-        tail = []
-        for r in range(rank, len(work)):
-            v = work[r]
-            pattern = 0
-            for idx, pcol in enumerate(pivot_cols):
-                if v & (1 << pcol):
-                    pattern |= 1 << idx
-            v ^= table[pattern]
-            if v:
-                tail.append(v)
-        del work[rank:]
-        work.extend(tail)
-    return rank
-
-
-def rank(m: BitMatrix, method: str = "gauss") -> int:
+def rank(m: BitMatrix) -> int:
     """Dimension of the row space of m over GF(2)."""
-    if method == "gauss":
-        return rank_of_row_ints(m._r, m.cols)
-    if method == "m4r":
-        return _rank_m4r(m._r, m.cols)
-    raise ValueError(f"unknown rank method {method!r}")
+    return rank_of_row_ints(m._r, m.cols)
 
 
 def row_space_contains(m: BitMatrix, v: BitVector) -> bool:

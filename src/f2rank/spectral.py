@@ -1,26 +1,19 @@
-"""Exact Hadamard checks and a cyclic Jacobi eigensolver.
+"""Exact Hadamard check and spectra of symmetric matrices.
 
-The Hadamard test is pure integer arithmetic.  The eigensolver is the
-only floating-point code in the package: deterministic cyclic-by-row
-Jacobi rotations on a float64 copy, with eigenvalues clustered into
-multiplicities afterwards.
+The Hadamard test is pure integer arithmetic.  Spectra are the only
+inexact results in the package: LAPACK's symmetric eigensolver
+(``np.linalg.eigvalsh``) on a float64 copy, with eigenvalues clustered
+into multiplicities afterwards.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
 from .products import SignMatrix
-
-MAX_SWEEPS = 100
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Eigensolver failed to converge within the sweep limit."""
 
 
 @dataclass(frozen=True)
@@ -62,56 +55,6 @@ def is_hadamard(s: SignMatrix) -> bool:
     return np.array_equal(gram, n * np.eye(n, dtype=np.int64))
 
 
-def jacobi_eigensystem(m: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (unsorted) and accumulated rotations Q with Q diag(w) Q^T = m.
-
-    Cyclic-by-row sweeps; stops when the off-diagonal Frobenius norm drops
-    below tol times the Frobenius norm of the input.
-    """
-    a = np.array(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.array_equal(a, a.T):
-        raise ValueError("expected a symmetric matrix")
-    n = a.shape[0]
-    q = np.eye(n)
-    norm = np.linalg.norm(a)
-    if norm == 0.0 or n < 2:
-        return np.diag(a).copy(), q
-    threshold = tol * norm
-    for _ in range(MAX_SWEEPS):
-        # off-diagonal Frobenius norm, computed directly (a subtraction from
-        # the full norm would cancel catastrophically near convergence)
-        off_part = a.copy()
-        np.fill_diagonal(off_part, 0.0)
-        if np.linalg.norm(off_part) < threshold:
-            return np.diag(a).copy(), q
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if apr == 0.0:
-                    continue
-                theta = (a[r, r] - a[p, p]) / (2.0 * apr)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_r = a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
-                col_p = a[:, p].copy()
-                col_r = a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-                qp = q[:, p].copy()
-                qr = q[:, r].copy()
-                q[:, p] = c * qp - s * qr
-                q[:, r] = s * qp + c * qr
-    raise JacobiConvergenceError(f"no convergence within {MAX_SWEEPS} sweeps")
-
-
 def _cluster(values: np.ndarray, group_tol: float) -> Spectrum:
     # a value joins the current group while it stays within group_tol of
     # the value that opened the group; the reported value is the group mean
@@ -124,24 +67,23 @@ def _cluster(values: np.ndarray, group_tol: float) -> Spectrum:
     return Spectrum.from_pairs((sum(b) / len(b), len(b)) for b in buckets)
 
 
-def jacobi_spectrum(
-    m: np.ndarray, tol: float = 1e-12, group_tol: float | None = None
-) -> Spectrum:
-    """Spectrum of a real symmetric matrix via cyclic Jacobi rotations.
+def symmetric_spectrum(m: np.ndarray) -> Spectrum:
+    """Spectrum of a real symmetric matrix.
 
-    Eigenvalues are grouped into one entry while they stay within
-    group_tol of the value that opened the current group.
+    Eigenvalues are grouped into one entry while they stay within 1e-6
+    times max(1, infinity norm) of the value that opened the current group.
     """
     a = np.asarray(m, dtype=np.float64)
-    values, _ = jacobi_eigensystem(a, tol=tol)
-    if group_tol is None:
-        inf_norm = float(np.abs(a).sum(axis=1).max()) if a.size else 0.0
-        group_tol = 1e-6 * max(1.0, inf_norm)
-    return _cluster(values, group_tol)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix")
+    if not np.array_equal(a, a.T):
+        raise ValueError("expected a symmetric matrix")
+    inf_norm = float(np.abs(a).sum(axis=1).max()) if a.size else 0.0
+    return _cluster(np.linalg.eigvalsh(a), 1e-6 * max(1.0, inf_norm))
 
 
-def graph_spectrum(g: Graph, tol: float = 1e-12, group_tol: float | None = None) -> Spectrum:
-    return jacobi_spectrum(g.adj.to_bool_array().astype(np.float64), tol, group_tol)
+def graph_spectrum(g: Graph) -> Spectrum:
+    return symmetric_spectrum(g.adj.to_bool_array())
 
 
 def analytic_spectrum(m: int) -> Spectrum:

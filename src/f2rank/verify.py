@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .gf2 import (
     BitMatrix,
     BitVector,
@@ -28,8 +30,10 @@ from .gf2 import (
     rows_form_subspace,
 )
 from .graph import Graph, is_negation_free, is_twin_free
-from .products import sign_map
-from .spectral import Spectrum, analytic_spectrum, graph_spectrum, is_hadamard
+from .spectral import Spectrum, analytic_spectrum, graph_spectrum
+
+# orders above this get no spectrum payload from full_report
+SPECTRUM_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -115,76 +119,143 @@ class CosetDecomposition:
 
 
 # ---------------------------------------------------------------------------
+# Gram kernel: the pairwise, regularity and Hadamard checks all read G = A A^T
+# ---------------------------------------------------------------------------
+
+# rows of G examined per pass, which bounds every temporary to BLOCK_ROWS x order
+BLOCK_ROWS = 128
+
+
+@dataclass(frozen=True)
+class _Gram:
+    adj: np.ndarray  # boolean adjacency A
+    gram: np.ndarray  # float32 G = A A^T; G_ij counts common neighbours of i, j
+    degrees: np.ndarray  # int64 diag(G)
+
+
+def _gram(g: Graph) -> _Gram:
+    adj = g.adj.to_bool_array().view(np.bool_)
+    a = adj.astype(np.float32)
+    # exact: no entry of G exceeds the order, and float32 holds every
+    # integer below 2^24, so the BLAS product is exact for order < 2^24
+    gram = a @ a.T
+    return _Gram(adj, gram, np.diag(gram).astype(np.int64))
+
+
+def _row_blocks(m: int):
+    """Blocks of row positions 0..m-1, each with its strict-upper-triangle mask."""
+    cols = np.arange(m)
+    for lo in range(0, m, BLOCK_ROWS):
+        rows = cols[lo : lo + BLOCK_ROWS]
+        yield rows, cols > rows[:, None]
+
+
+def _first_pair(m: int, bad) -> tuple[int, int] | None:
+    """First pair a < b < m in row-major order at which bad holds.
+
+    bad(rows) maps a block of row positions to a len(rows) x m boolean
+    array; only its strict upper triangle is read.
+    """
+    for rows, upper in _row_blocks(m):
+        hit = bad(rows) & upper
+        if hit.any():
+            a, b = divmod(int(hit.argmax()), m)
+            return int(rows[a]), b
+    return None
+
+
+def _is_hadamard(k: _Gram) -> bool:
+    """S = J - 2A satisfies S S^T = order * I.
+
+    (S S^T)_ij = N - 2 d_i - 2 d_j + 4 G_ij, which is N on the diagonal
+    for every A, so only the off-diagonal entries are tested.
+    """
+    n = len(k.degrees)
+    d2 = 2 * k.degrees
+
+    def nonzero_entry(rows):
+        return 4 * k.gram[rows].astype(np.int64) != d2[rows, None] + d2 - n
+
+    return _first_pair(n, nonzero_entry) is None
+
+
+# ---------------------------------------------------------------------------
 # Regularity checks
 # ---------------------------------------------------------------------------
 
 
 def check_balanced_rows(g: Graph) -> bool:
     """Every nonzero adjacency row has exactly order/2 ones."""
-    return _balanced_rows_witness(g) is None
+    return _balanced_rows_witness(_gram(g)) is None
 
 
-def _balanced_rows_witness(g: Graph) -> tuple[int, int] | None:
-    half, rem = divmod(g.order, 2)
-    for i, r in enumerate(g.adj.row_ints()):
-        if r and (rem or r.bit_count() != half):
-            return i, r.bit_count()
-    return None
+def _balanced_rows_witness(k: _Gram) -> tuple[int, int] | None:
+    d = k.degrees
+    half, rem = divmod(len(d), 2)
+    bad = np.flatnonzero((d > 0) & ((d != half) | bool(rem)))
+    return (int(bad[0]), int(d[bad[0]])) if bad.size else None
 
 
 def check_pairwise_quarters(g: Graph) -> bool:
     """All four support intersections of distinct nonzero rows have size order/4."""
-    return _pairwise_quarters_witness(g) is None
+    return _pairwise_quarters_witness(_gram(g)) is None
 
 
-def _pairwise_quarters_witness(g: Graph) -> tuple[int, int] | None:
-    n = g.order
-    quarter, rem = divmod(n, 4)
-    rows = g.adj.row_ints()
-    nonzero = [(i, r) for i, r in enumerate(rows) if r]
-    for a in range(len(nonzero)):
-        i, ri = nonzero[a]
-        ones_i = ri.bit_count()
-        for b in range(a + 1, len(nonzero)):
-            j, rj = nonzero[b]
-            both = (ri & rj).bit_count()
-            # the four intersection sizes are determined by |x|, |y|, |x&y|
-            if rem or not (
-                both == quarter
-                and ones_i - both == quarter
-                and rj.bit_count() - both == quarter
-                and n - ones_i - rj.bit_count() + both == quarter
-            ):
-                return i, j
-    return None
+def _pairwise_quarters_witness(k: _Gram) -> tuple[int, int] | None:
+    quarter, rem = divmod(len(k.degrees), 4)
+    nz = np.flatnonzero(k.degrees)
+    if rem:  # no pair can meet the pattern
+        pair = (0, 1) if nz.size >= 2 else None
+    else:
+        # the four intersection sizes are determined by |x|, |y|, |x&y|; all
+        # are order/4 iff d_i = d_j = order/2 and G_ij = order/4
+        half = k.degrees[nz] == 2 * quarter
+        pair = _first_pair(
+            nz.size,
+            lambda rows: (k.gram[np.ix_(nz[rows], nz)] != quarter) | ~half[rows, None] | ~half,
+        )
+    return None if pair is None else (int(nz[pair[0]]), int(nz[pair[1]]))
 
 
 def srg_parameters(g: Graph) -> SrgParams | SrgViolation:
     """Exact [v, k, lambda, mu] if strongly regular, else a witness pair."""
-    n = g.order
-    if n == 0:
+    return _srg_parameters(_gram(g), np.arange(g.order))
+
+
+def _srg_parameters(k: _Gram, core: np.ndarray) -> SrgParams | SrgViolation:
+    """srg_parameters of the subgraph induced on the ascending vertex list core.
+
+    Witnesses are positions in core.  Co-degrees are read from G, so core
+    may only drop isolated vertices, which are nobody's common neighbour.
+    """
+    v = core.size
+    if v == 0:
         return SrgViolation("empty graph", (0, 0))
-    rows = g.adj.row_ints()
-    k = rows[0].bit_count()
-    for i in range(1, n):
-        if rows[i].bit_count() != k:
-            return SrgViolation("not regular", (0, i))
-    lam = mu = None
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            common = (ri & rows[j]).bit_count()
-            if (ri >> j) & 1:
-                if lam is None:
-                    lam = common
-                elif common != lam:
-                    return SrgViolation("adjacent co-degree varies", (i, j))
-            else:
-                if mu is None:
-                    mu = common
-                elif common != mu:
-                    return SrgViolation("non-adjacent co-degree varies", (i, j))
-    return SrgParams(n, k, lam, mu)
+    deg = k.degrees[core]
+    irregular = np.flatnonzero(deg != deg[0])
+    if irregular.size:
+        return SrgViolation("not regular", (0, int(irregular[0])))
+
+    def adjacent(rows):
+        return k.adj[np.ix_(core[rows], core)]
+
+    def co_degree(pair):
+        return None if pair is None else int(k.gram[core[pair[0]], core[pair[1]]])
+
+    # lambda and mu are fixed by the first pair of their kind in row-major
+    # order; a missing kind has no pair to break it, so -1 stands in
+    lam = co_degree(_first_pair(v, adjacent))
+    mu = co_degree(_first_pair(v, lambda rows: ~adjacent(rows)))
+    want_adj, want_non = (-1 if x is None else x for x in (lam, mu))
+    bad = _first_pair(
+        v,
+        lambda rows: k.gram[np.ix_(core[rows], core)]
+        != np.where(adjacent(rows), want_adj, want_non),
+    )
+    if bad is not None:
+        kind = "adjacent" if k.adj[core[bad[0]], core[bad[1]]] else "non-adjacent"
+        return SrgViolation(f"{kind} co-degree varies", bad)
+    return SrgParams(v, int(deg[0]), lam, mu)
 
 
 def quasirandom_deviation(g: Graph) -> float:
@@ -193,19 +264,27 @@ def quasirandom_deviation(g: Graph) -> float:
     The sum runs over ordered pairs of distinct vertices and the density
     is p = 2e / (v(v-1)), both computed from the graph itself.
     """
-    v = g.order
+    return _quasirandom_deviation(_gram(g), np.arange(g.order))
+
+
+def _quasirandom_deviation(k: _Gram, core: np.ndarray) -> float:
+    """quasirandom_deviation of the subgraph induced on core (see _srg_parameters).
+
+    The sum is taken exactly, in integers, over a histogram of the
+    co-degrees and rounded to float once.
+    """
+    v = core.size
     if v < 2:
         return 0.0
-    e = g.edge_count()
-    p = 2 * e / (v * (v - 1))
-    target = p * p * v
-    rows = g.adj.row_ints()
-    total = 0.0
-    for i in range(v):
-        ri = rows[i]
-        for j in range(i + 1, v):
-            total += 2 * abs((ri & rows[j]).bit_count() - target)
-    return total / v**3
+    counts = np.zeros(len(k.degrees) + 1, dtype=np.int64)
+    for rows, upper in _row_blocks(v):
+        common = k.gram[np.ix_(core[rows], core)][upper].astype(np.int64)
+        counts += np.bincount(common, minlength=counts.size)
+    e = int(k.degrees[core].sum()) // 2
+    # p^2 v = 4e^2 / (v (v-1)^2): scale every term by that denominator
+    den = v * (v - 1) ** 2
+    total = sum(c * abs(x * den - 4 * e * e) for x, c in enumerate(counts.tolist()) if c)
+    return 2 * total / (den * v**3)  # int / int rounds correctly
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +292,20 @@ def quasirandom_deviation(g: Graph) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_order(report: VerificationReport, order: int, n: int) -> bool:
+    """Add the "order" entry for order == 2^n; 2^n is built only when it can match."""
+    if 0 <= n <= order.bit_length():
+        ok = order == 1 << n
+        report.add("order", ok, f"order {order}, expected {1 << n}")
+        return ok
+    report.add("order", False, f"order {order}, expected 2^{n}")
+    return False
+
+
 def verify_extremal(g: Graph, n: int) -> VerificationReport:
     """Check order 2^n, twin-freeness, rank n, subspace rows, one isolated vertex."""
     report = VerificationReport()
-    order = g.order
-    report.add("order", order == 2**n, f"order {order}, expected {2 ** n}")
+    _check_order(report, g.order, n)
     report.add("twin_free", is_twin_free(g), "all neighbourhood rows distinct")
     r = g.rank()
     report.add("rank", r == n, f"rank {r}, expected {n}")
@@ -425,21 +513,32 @@ def decomposition_invariants(a: BitMatrix) -> VerificationReport:
         all(sz == expected for sz in sizes),
         f"support intersection sizes {sizes}, expected {expected} each",
     )
-    # sort positions by (w_i, x_i) so the four classes become contiguous,
-    # then C must be the 4x4 tiling of its top-left quarter
-    order = sorted(range(q), key=lambda i: ((wb >> i) & 1, (xb >> i) & 1))
-    c_sorted = c.conjugate(order)
-    quarter = q // 4
-    d_block = c_sorted.submatrix(list(range(quarter)), list(range(quarter)))
-    tiled = all(
-        c_sorted.submatrix(
-            list(range(bi * quarter, (bi + 1) * quarter)),
-            list(range(bj * quarter, (bj + 1) * quarter)),
+    # make the four (w_i, x_i) classes contiguous, then C must be the 4x4
+    # tiling of its top-left quarter.  Row k of C is linear in k, so a zero
+    # row r of C (an element of its radical) gives C[i ^ r][j] = C[i][j]:
+    # ordering each class by i ^ r, with r the class's own zero row, lines
+    # the classes up entrywise whatever the input vertex order was
+    order: list[int] = []
+    for key in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        members = [i for i in range(q) if ((wb >> i) & 1, (xb >> i) & 1) == key]
+        zero = next((i for i in members if c.row_int(i) == 0), None)
+        if zero is None:
+            break
+        order += sorted(members, key=lambda i: i ^ zero)
+    tiled = len(order) == q
+    if tiled:
+        c_sorted = c.conjugate(order)
+        quarter = q // 4
+        d_block = c_sorted.submatrix(list(range(quarter)), list(range(quarter)))
+        tiled = all(
+            c_sorted.submatrix(
+                list(range(bi * quarter, (bi + 1) * quarter)),
+                list(range(bj * quarter, (bj + 1) * quarter)),
+            )
+            == d_block
+            for bi in range(4)
+            for bj in range(4)
         )
-        == d_block
-        for bi in range(4)
-        for bj in range(4)
-    )
     report.add("tiled_quarter_block", tiled, "C equals the 4x4 tiling of its quarter block D")
     return report
 
@@ -457,12 +556,13 @@ class FullVerification:
     spectrum: Spectrum | None
 
 
-def full_report(g: Graph, expect_n: int | None = None, spectrum_cap: int = 256) -> FullVerification:
+def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
     """Aggregate every checkable claim about an extremal-graph candidate.
 
     If expect_n is omitted it is inferred from the order when that is a
     power of two.  The spectrum payload (and the analytic comparison) is
-    computed only for orders up to spectrum_cap.
+    computed only for orders up to SPECTRUM_CAP.  The pairwise, regularity
+    and Hadamard checks all read one Gram matrix G = A A^T.
     """
     order = g.order
     inferred = order.bit_length() - 1 if order > 0 and order & (order - 1) == 0 else None
@@ -470,8 +570,9 @@ def full_report(g: Graph, expect_n: int | None = None, spectrum_cap: int = 256) 
 
     report = VerificationReport()
     if n is not None:
-        report.add("order", order == 2**n, f"order {order}, expected {2 ** n}")
+        order_ok = _check_order(report, order, n)
     else:
+        order_ok = False
         report.add("order", False, f"order {order} is not a power of two")
     report.add("twin_free", is_twin_free(g), "all neighbourhood rows distinct")
     report.add("negation_free", is_negation_free(g), "no row is the complement of another")
@@ -481,29 +582,31 @@ def full_report(g: Graph, expect_n: int | None = None, spectrum_cap: int = 256) 
     else:
         report.add("rank", False, f"rank {r}, no expected value (order not a power of two)")
     report.add("rows_form_subspace", rows_form_subspace(g.adj), "")
-    iso = g.isolated_vertices()
-    report.add("unique_isolated_vertex", len(iso) == 1, f"isolated vertices: {len(iso)}")
+    k = _gram(g)
+    # the core drops the isolated vertices, which changes no co-degree
+    core = np.flatnonzero(k.degrees)
+    isolated = order - core.size
+    report.add("unique_isolated_vertex", isolated == 1, f"isolated vertices: {isolated}")
 
     report.add(
         "hadamard_signed_adjacency",
-        is_hadamard(sign_map(g.adj)),
+        _is_hadamard(k),
         "signed adjacency S satisfies S S^T = order * I",
     )
-    bal = _balanced_rows_witness(g)
+    bal = _balanced_rows_witness(k)
     report.add(
         "balanced_rows",
         bal is None,
         "" if bal is None else f"row {bal[0]} has {bal[1]} ones",
     )
-    quart = _pairwise_quarters_witness(g)
+    quart = _pairwise_quarters_witness(k)
     report.add(
         "pairwise_intersection_quarters",
         quart is None,
         "" if quart is None else f"rows {quart[0]} and {quart[1]} break the order/4 pattern",
     )
 
-    core = g.remove_vertices(iso) if iso else g
-    srg = srg_parameters(core) if core.order else None
+    srg = _srg_parameters(k, core) if core.size else None
     if isinstance(srg, SrgParams) and n is not None and order % 4 == 0:
         expected = [order - 1, order // 2, order // 4, order // 4]
         report.add(
@@ -519,15 +622,14 @@ def full_report(g: Graph, expect_n: int | None = None, spectrum_cap: int = 256) 
 
     # the 1/v bound is asymptotic; tiny cores (the order-4 member's core is
     # a bare triangle) get the value reported without a pass/fail cutoff
-    if core.order >= 15:
-        dev = quasirandom_deviation(core)
+    dev = _quasirandom_deviation(k, core)
+    if core.size >= 15:
         report.add(
             "quasirandom_deviation_bounded",
-            dev <= 1.0 / core.order,
-            f"deviation {dev:.6g}, bound {1.0 / core.order:.6g}",
+            dev <= 1.0 / core.size,
+            f"deviation {dev:.6g}, bound {1.0 / core.size:.6g}",
         )
     else:
-        dev = quasirandom_deviation(core) if core.order >= 2 else 0.0
         report.add(
             "quasirandom_deviation_bounded",
             True,
@@ -535,8 +637,11 @@ def full_report(g: Graph, expect_n: int | None = None, spectrum_cap: int = 256) 
         )
 
     spectrum = None
-    is_pow4 = n is not None and n % 2 == 0 and order == 2**n
-    if order <= spectrum_cap and order >= 1:
+    # 4^m with m >= 1: the analytic spectrum has no order-1 case
+    is_pow4 = order_ok and n % 2 == 0 and n >= 2
+    if order == 0:
+        report.add("spectrum_matches_analytic", True, "skipped: empty graph")
+    elif order <= SPECTRUM_CAP:
         spectrum = graph_spectrum(g)
         if is_pow4:
             expected_spec = analytic_spectrum(n // 2)
@@ -555,7 +660,7 @@ def full_report(g: Graph, expect_n: int | None = None, spectrum_cap: int = 256) 
         report.add(
             "spectrum_matches_analytic",
             True,
-            f"skipped: order {order} exceeds eigensolver cap {spectrum_cap}",
+            f"skipped: order {order} exceeds eigensolver cap {SPECTRUM_CAP}",
         )
     if is_pow4:
         root = 2 ** (n // 2)

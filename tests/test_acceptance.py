@@ -143,7 +143,7 @@ def test_criterion_08_spectrum():
         ok = ok and graph_spectrum(g2_power(m)).matches(analytic_spectrum(m), tol=1e-8)
     entry = full_report(g2_power(2)).report["spectrum_multiplicity_assignment"]
     ok = ok and entry.passed and "rejected" in entry.details
-    _report(8, ok, "Jacobi matches trace-consistent spectrum for m=1..4; swapped assignment flagged", t0, 60)
+    _report(8, ok, "eigvalsh matches trace-consistent spectrum for m=1..4; swapped assignment flagged", t0, 60)
 
 
 def test_criterion_09_n2_uniqueness():

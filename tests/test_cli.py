@@ -75,6 +75,31 @@ def test_verify_json_degenerate_srg(tmp_path, capsys):
     assert payload["srg"] == [3, 2, 1, None]
 
 
+def test_verify_expect_n_out_of_range(tmp_path, capsys):
+    # 2^n is never built for an n that cannot match the order
+    path = tmp_path / "g2.f2m"
+    path.write_text(g2_power(1).adj.to_f2mat())
+    for n in (10**9, -1):
+        code, out, _ = run(capsys, "verify", str(path), "--expect-n", str(n))
+        assert code == 1
+        assert out.splitlines()[0] == f"FAIL  order  (order 4, expected 2^{n})"
+    code, out, _ = run(capsys, "verify", str(path), "--expect-n", "2")
+    assert code == 0 and out.splitlines()[0] == "PASS  order  (order 4, expected 4)"
+
+
+def test_verify_small_orders(tmp_path, capsys):
+    for order in (0, 1):
+        path = tmp_path / f"k{order}.f2m"
+        path.write_text(BitMatrix.zeros(order, order).to_f2mat())
+        code, out, _ = run(capsys, "verify", str(path), "--json")
+        assert code == 1
+        entry = {c["name"]: c for c in json.loads(out)["checks"]}["spectrum_matches_analytic"]
+        if order == 0:
+            assert entry["pass"] and entry["details"] == "skipped: empty graph"
+        else:
+            assert not entry["pass"] and "not a 4^m instance" in entry["details"]
+
+
 def test_verify_malformed_input(tmp_path, capsys):
     path = tmp_path / "broken.f2m"
     path.write_text("f2mat 2 2\n0X\n00\n")

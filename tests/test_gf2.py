@@ -162,19 +162,6 @@ def test_rank_invariances():
         assert rank_of_row_ints(added, n) == r
 
 
-def test_m4r_matches_gauss():
-    rng = random.Random(6)
-    for _ in range(60):
-        rows = rng.randrange(1, 30)
-        cols = rng.randrange(1, 70)
-        m = random_bitmatrix(rng, rows, cols)
-        assert rank(m, method="m4r") == rank(m, method="gauss")
-    big = g2_power(3).adj
-    assert rank(big, method="m4r") == rank(big) == 6
-    with pytest.raises(ValueError):
-        rank(big, method="strassen")
-
-
 # ---------------------------------------------------------------------------
 # row_space_contains / rows_form_subspace
 # ---------------------------------------------------------------------------

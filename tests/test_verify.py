@@ -5,9 +5,12 @@ import random
 
 import pytest
 
+from f2rank import verify
 from f2rank.gf2 import BitMatrix, rank
 from f2rank.graph import Graph
 from f2rank.constructions import complete_graph, g2, g2_power
+from f2rank.products import sign_map
+from f2rank.spectral import is_hadamard
 from f2rank.verify import (
     CosetDecomposition,
     NotSubspaceMatrixError,
@@ -28,6 +31,105 @@ from conftest import random_graph
 
 def _cycle(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _relabel(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    return Graph(g.adj.conjugate(perm))
+
+
+# ---------------------------------------------------------------------------
+# naive references: the pairwise checks as direct loops over row popcounts
+# ---------------------------------------------------------------------------
+
+
+def _naive_balanced_witness(g: Graph):
+    half, rem = divmod(g.order, 2)
+    for i, r in enumerate(g.adj.row_ints()):
+        if r and (rem or r.bit_count() != half):
+            return i, r.bit_count()
+    return None
+
+
+def _naive_quarters_witness(g: Graph):
+    n = g.order
+    rows = g.adj.row_ints()
+    nonzero = [i for i in range(n) if rows[i]]
+    for a, i in enumerate(nonzero):
+        for j in nonzero[a + 1 :]:
+            for b in (0, 1):
+                for bp in (0, 1):
+                    size = sum(
+                        1
+                        for k in range(n)
+                        if ((rows[i] >> k) & 1) == b and ((rows[j] >> k) & 1) == bp
+                    )
+                    if 4 * size != n:
+                        return i, j
+    return None
+
+
+def _naive_srg(g: Graph):
+    n = g.order
+    if n == 0:
+        return SrgViolation("empty graph", (0, 0))
+    rows = g.adj.row_ints()
+    k = rows[0].bit_count()
+    for i in range(1, n):
+        if rows[i].bit_count() != k:
+            return SrgViolation("not regular", (0, i))
+    lam = mu = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            common = (rows[i] & rows[j]).bit_count()
+            if (rows[i] >> j) & 1:
+                if lam is None:
+                    lam = common
+                elif common != lam:
+                    return SrgViolation("adjacent co-degree varies", (i, j))
+            elif mu is None:
+                mu = common
+            elif common != mu:
+                return SrgViolation("non-adjacent co-degree varies", (i, j))
+    return SrgParams(n, k, lam, mu)
+
+
+def _naive_quasirandom(g: Graph) -> float:
+    v = g.order
+    if v < 2:
+        return 0.0
+    p = 2 * g.edge_count() / (v * (v - 1))
+    rows = g.adj.row_ints()
+    total = 0.0
+    for i in range(v):
+        for j in range(i + 1, v):
+            total += 2 * abs((rows[i] & rows[j]).bit_count() - p * p * v)
+    return total / v**3
+
+
+def _reference_cases() -> list[Graph]:
+    """Seeded small graphs of order 0..12, regular circulants and complete
+    graphs, plus relabelled family members of order 16 and 64 with and
+    without one flipped edge."""
+    rng = random.Random(40)
+    cases = []
+    for n in range(13):
+        for p in (0.2, 0.5, 0.8):
+            cases.append(random_graph(rng, n, p))
+        if n >= 3:
+            jumps = {d for d in range(1, n // 2 + 1) if rng.random() < 0.5} or {1}
+            edges = {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in jumps}
+            cases.append(Graph.from_edges(n, edges))
+            cases.append(complete_graph(n))
+    for m in (2, 3):
+        for _ in range(3):
+            g = _relabel(g2_power(m), rng)
+            cases.append(g)
+            i, j = rng.sample(range(g.order), 2)
+            flip = 1 - g.adj.get(i, j)
+            cases.append(Graph(g.adj.set_bit(i, j, flip).set_bit(j, i, flip)))
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -73,21 +175,22 @@ def test_pairwise_quarters():
 
 
 def test_pairwise_quarters_against_naive():
-    g = g2_power(2)
-    n = g.order
-    rows = g.adj.row_ints()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not rows[i] or not rows[j]:
-                continue
-            for b in (0, 1):
-                for bp in (0, 1):
-                    size = sum(
-                        1
-                        for k in range(n)
-                        if ((rows[i] >> k) & 1) == b and ((rows[j] >> k) & 1) == bp
-                    )
-                    assert size == n // 4
+    # the Gram-matrix checks reproduce the direct loops: verdicts, witnesses,
+    # SRG reasons and the printed deviation, standalone and inside full_report
+    assert _naive_quarters_witness(g2_power(2)) is None
+    for g in _reference_cases():
+        assert verify._balanced_rows_witness(verify._gram(g)) == _naive_balanced_witness(g)
+        assert verify._pairwise_quarters_witness(verify._gram(g)) == _naive_quarters_witness(g)
+        assert check_pairwise_quarters(g) == (_naive_quarters_witness(g) is None)
+        assert srg_parameters(g) == _naive_srg(g)
+        assert f"{quasirandom_deviation(g):.6g}" == f"{_naive_quasirandom(g):.6g}"
+
+        result = full_report(g)
+        core = g.remove_vertices(g.isolated_vertices())
+        assert result.srg == (_naive_srg(core) if core.order else None)
+        dev = result.report["quasirandom_deviation_bounded"].details
+        assert dev.startswith(f"deviation {_naive_quasirandom(core):.6g}")
+        assert result.report["hadamard_signed_adjacency"].passed == is_hadamard(sign_map(g.adj))
 
 
 def test_srg_parameters():
@@ -192,6 +295,20 @@ def test_decomposition_invariants_under_relabeling():
     assert branches == {True, False}, "expected both membership branches to occur"
 
 
+def test_tiled_quarter_block_under_relabeling():
+    # the tiling check is evaluated only when x and w both lie outside
+    # rowspace(C); it must then pass for every vertex order
+    rng = random.Random(34)
+    evaluated = 0
+    for m, count in ((3, 24), (4, 8)):
+        for _ in range(count):
+            report = decomposition_invariants(_relabel(g2_power(m), rng).adj)
+            entry = report["tiled_quarter_block"]
+            assert entry.passed, (m, entry.details)
+            evaluated += not entry.details.startswith("skipped")
+    assert evaluated >= 4
+
+
 def test_decomposition_invariants_bad_input():
     report = decomposition_invariants(complete_graph(4).adj)
     assert not report.passed
@@ -233,8 +350,24 @@ def test_full_report_on_non_power_order():
     assert not result.report["order"].passed
 
 
-def test_full_report_skips_large_spectrum():
-    result = full_report(g2_power(2), spectrum_cap=8)
+def test_full_report_builds_one_gram_matrix(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g.order)
+        return gram(g)
+
+    gram = verify._gram
+    monkeypatch.setattr(verify, "_gram", counting)
+    for g in (g2_power(2), g2_power(3), random_graph(random.Random(33), 12)):
+        calls.clear()
+        full_report(g)
+        assert calls == [g.order]
+
+
+def test_full_report_skips_large_spectrum(monkeypatch):
+    monkeypatch.setattr(verify, "SPECTRUM_CAP", 8)
+    result = full_report(g2_power(2))
     assert result.spectrum is None
     entry = result.report["spectrum_matches_analytic"]
     assert entry.passed and "skipped" in entry.details
