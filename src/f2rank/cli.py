@@ -16,7 +16,7 @@ import statistics
 import sys
 import time
 
-from .gf2 import BitMatrix, F2MatFormatError, rank as matrix_rank
+from .gf2 import BitMatrix, rank as matrix_rank
 from .graph import Graph, Graph6FormatError, from_graph6, to_graph6
 from .constructions import (
     extremal_odd_plus_one,
@@ -238,13 +238,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (F2MatFormatError, Graph6FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -325,7 +325,9 @@ class BitMatrix:
         out = []
         for k in range(rows):
             line = body[k]
-            if len(line) != cols or any(c not in "01" for c in line):
+            # strip runs in C; it also rejects what int(_, 2) would take
+            # ("+1", "1_0", " 1")
+            if len(line) != cols or line.strip("01"):
                 raise F2MatFormatError(f"row {k + 1} is not {cols} characters of 0/1")
             out.append(int(line[::-1], 2) if line else 0)
         return cls(rows, cols, out)
@@ -350,39 +352,41 @@ class BitMatrix:
 # ---------------------------------------------------------------------------
 
 
-def rank_of_row_ints(row_ints: Sequence[int], cols: int) -> int:
-    """Forward elimination on packed rows; zero rows are dropped eagerly.
-
-    Pivot for each column is the first surviving row (lowest original
-    index) with that bit set, so the pivot sequence is deterministic and
-    identical to textbook forward elimination.
-    """
-    work = [r for r in row_ints if r]
-    rank = 0
-    for col in range(cols):
-        if rank >= len(work):
+def _reduce(pivots: dict[int, int], v: int) -> int:
+    """v reduced against a leading-bit echelon; zero iff v lies in its span."""
+    while v:
+        p = pivots.get(v.bit_length() - 1)
+        if p is None:
             break
-        colmask = 1 << col
-        pivot = None
-        for r in range(rank, len(work)):
-            if work[r] & colmask:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank]
-        tail = []
-        for r in range(rank + 1, len(work)):
-            v = work[r]
-            if v & colmask:
-                v ^= pv
-            if v:
-                tail.append(v)
-        del work[rank + 1 :]
-        work.extend(tail)
-        rank += 1
-    return rank
+        v ^= p
+    return v
+
+
+def echelon(row_ints: Iterable[int]) -> tuple[dict[int, int], list[int]]:
+    """Leading-bit echelon of packed rows, inserted in order.
+
+    A row that reduces to zero depends on the rows before it; any other
+    row becomes a new pivot keyed by the highest set bit of its reduction.
+    Returns (pivots, independent): the pivot rows by leading bit, and the
+    ascending indices of the rows that became pivots, which is the greedy
+    first-appearance basis of the row space.
+    """
+    pivots: dict[int, int] = {}
+    independent = []
+    for i, r in enumerate(row_ints):
+        v = _reduce(pivots, r)
+        if v:
+            pivots[v.bit_length() - 1] = v
+            independent.append(i)
+    return pivots, independent
+
+
+def rank_of_row_ints(row_ints: Sequence[int], cols: int) -> int:
+    """GF(2) rank of packed rows of width cols: the pivot count of their echelon.
+
+    Pivots are keyed by leading bit, so the width itself is not needed.
+    """
+    return len(echelon(row_ints)[1])
 
 
 def rank(m: BitMatrix) -> int:
@@ -394,15 +398,21 @@ def row_space_contains(m: BitMatrix, v: BitVector) -> bool:
     """True iff v is a GF(2) combination of the rows of m."""
     if v.n != m.cols:
         raise ValueError(f"vector length {v.n} does not match {m.cols} columns")
-    base = rank_of_row_ints(m._r, m.cols)
-    return rank_of_row_ints(list(m._r) + [v.bits], m.cols) == base
+    return _reduce(echelon(m._r)[0], v.bits) == 0
+
+
+def subspace_basis(m: BitMatrix) -> list[int] | None:
+    """Row indices of the first-appearance basis if the rows list a linear
+    subspace exactly once each, else None."""
+    distinct = set(m._r)
+    # distinct rows in a span of 2^rank vectors list all of it, zero
+    # included; testing for the zero row first skips most eliminations
+    if len(distinct) != m.rows or 0 not in distinct:
+        return None
+    basis = echelon(m._r)[1]
+    return basis if m.rows == 1 << len(basis) else None
 
 
 def rows_form_subspace(m: BitMatrix) -> bool:
     """True iff the rows list a linear subspace exactly once each."""
-    seen = set(m._r)
-    if len(seen) != m.rows:
-        return False
-    if 0 not in seen:
-        return False
-    return m.rows == 1 << rank_of_row_ints(m._r, m.cols)
+    return subspace_basis(m) is not None

@@ -35,20 +35,16 @@ class Graph:
         if adj.rows != adj.cols:
             raise NotSymmetricError("adjacency matrix must be square")
         n = adj.rows
-        if n >= 64:
-            arr = adj.to_bool_array()
-            if arr.diagonal().any():
-                raise NonzeroDiagonalError("diagonal entry is 1")
-            if not np.array_equal(arr, arr.T):
-                raise NotSymmetricError("adjacency matrix is not symmetric")
-        else:
-            r = adj.row_ints()
-            for i in range(n):
-                if (r[i] >> i) & 1:
-                    raise NonzeroDiagonalError(f"diagonal entry ({i},{i}) is 1")
-                for j in range(i + 1, n):
-                    if ((r[i] >> j) & 1) != ((r[j] >> i) & 1):
-                        raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
+        arr = adj.to_bool_array()
+        # an offending entry is a diagonal 1 or an entry that differs from
+        # its transpose; report the first one in row-major order
+        bad = arr != arr.T
+        np.fill_diagonal(bad, arr.diagonal())
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), n)
+            if i == j:
+                raise NonzeroDiagonalError(f"diagonal entry ({i},{i}) is 1")
+            raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
         self.adj = adj
 
     @classmethod
@@ -77,9 +73,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.adj.popcount_row(v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj.get(u, v))
 
     def common_neighbors(self, u: int, v: int) -> int:
         return (self.adj.row_int(u) & self.adj.row_int(v)).bit_count()
@@ -118,9 +111,6 @@ class Graph:
 
     def rank(self) -> int:
         return rank_of_row_ints(self.adj.row_ints(), self.order)
-
-    def degree_sequence(self) -> list[int]:
-        return sorted(self.degree(v) for v in range(self.order))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.adj == other.adj

@@ -306,11 +306,13 @@ def run_exhaustive_sweep(
 ) -> SweepStats:
     """Partitioned sweep; chunk layout is fixed, so the combined result is
     identical for any worker count."""
+    if not 0 <= start < stop <= N3_SPAN:
+        raise ValueError(f"sweep range needs 0 <= start < stop <= {N3_SPAN}, got [{start}, {stop})")
     bounds = [(b, min(b + chunk, stop)) for b in range(start, stop, chunk)]
     if workers <= 1 or len(bounds) <= 1:
         parts = [_sweep_task(b) for b in bounds]
     else:
-        with multiprocessing.Pool(processes=workers) as pool:
+        with multiprocessing.Pool(processes=min(workers, len(bounds))) as pool:
             parts = pool.map(_sweep_task, bounds)
     out = SweepStats()
     for p in parts:

@@ -24,10 +24,10 @@ import numpy as np
 from .gf2 import (
     BitMatrix,
     BitVector,
-    rank,
     rank_of_row_ints,
     row_space_contains,
     rows_form_subspace,
+    subspace_basis,
 )
 from .graph import Graph, is_negation_free, is_twin_free
 from .spectral import Spectrum, analytic_spectrum, graph_spectrum
@@ -302,25 +302,6 @@ def _check_order(report: VerificationReport, order: int, n: int) -> bool:
     return False
 
 
-def verify_extremal(g: Graph, n: int) -> VerificationReport:
-    """Check order 2^n, twin-freeness, rank n, subspace rows, one isolated vertex."""
-    report = VerificationReport()
-    _check_order(report, g.order, n)
-    report.add("twin_free", is_twin_free(g), "all neighbourhood rows distinct")
-    r = g.rank()
-    report.add("rank", r == n, f"rank {r}, expected {n}")
-    report.add(
-        "rows_form_subspace",
-        rows_form_subspace(g.adj),
-        "rows list a linear subspace exactly once each",
-    )
-    iso = g.isolated_vertices()
-    report.add(
-        "unique_isolated_vertex", len(iso) == 1, f"isolated vertices: {len(iso)}"
-    )
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Coset decomposition
 # ---------------------------------------------------------------------------
@@ -339,47 +320,28 @@ def _is_symmetric_zero_diag(a: BitMatrix) -> bool:
 def coset_decompose(a: BitMatrix) -> CosetDecomposition:
     """Reorder a subspace matrix into coset order and split off B and u.
 
-    The basis is chosen by a first-appearance scan (ascending row index,
-    greedy independence).  After conjugating by the computed permutation,
-    row k equals the XOR of the basis rows selected by k's binary digits,
-    and the matrix has the block form [B | B+U^T ; B+U | B+U+U^T] where
-    every row of U is the coset vector u.
+    The basis is the rows that become pivots of gf2.echelon, that is the
+    first-appearance basis (ascending row index, greedy independence).
+    After conjugating by the computed permutation, row k equals the XOR of
+    the basis rows selected by k's binary digits, and the matrix has the
+    block form [B | B+U^T ; B+U | B+U+U^T] where every row of U is the
+    coset vector u.
     """
     if not _is_symmetric_zero_diag(a):
         raise NotSubspaceMatrixError("matrix is not symmetric with zero diagonal")
-    if not rows_form_subspace(a):
+    basis_idx = subspace_basis(a)
+    if basis_idx is None:
         raise NotSubspaceMatrixError("rows do not form a subspace without repetition")
-    rows = a.row_ints()
-    n_dim = rank_of_row_ints(rows, a.cols)
+    n_dim = len(basis_idx)
     if n_dim < 1:
         raise NotSubspaceMatrixError("decomposition needs rank >= 1")
-    # greedy first-appearance basis
-    echelon: dict[int, int] = {}
-    basis_vals: list[int] = []
-    for r in rows:
-        v = r
-        while v:
-            h = v.bit_length() - 1
-            if h not in echelon:
-                break
-            v ^= echelon[h]
-        if v:
-            echelon[v.bit_length() - 1] = v
-            basis_vals.append(r)
-            if len(basis_vals) == n_dim:
-                break
+    rows = a.row_ints()
+    # span[k] is the XOR of the basis rows selected by k's binary digits
+    span = [0]
+    for i in basis_idx:
+        span += [s ^ rows[i] for s in span]
     index_of = {r: i for i, r in enumerate(rows)}
-    perm = []
-    for k in range(a.rows):
-        target = 0
-        bits = k
-        i = 0
-        while bits:
-            if bits & 1:
-                target ^= basis_vals[i]
-            bits >>= 1
-            i += 1
-        perm.append(index_of[target])
+    perm = [index_of[t] for t in span]
     reordered = a.conjugate(perm)
     half = a.rows // 2
     idx_top = list(range(half))
@@ -434,7 +396,7 @@ def decomposition_invariants(a: BitMatrix) -> VerificationReport:
     u = d.coset_vector
     report.add("u_equals_uhat", u == d.coset_vector_second_half, "")
     report.add("block_identity", True, "reordered = [B | B+U^T ; B+U | B+U+U^T]")
-    rank_b = rank(b)
+    rank_b = rank_of_row_ints(b.row_ints(), b.cols)
     report.add("rank_top_block", rank_b == n_dim - 2, f"rank(B) = {rank_b}, expected {n_dim - 2}")
     report.add(
         "u_outside_top_block_rowspace",

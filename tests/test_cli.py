@@ -108,6 +108,8 @@ def test_verify_malformed_input(tmp_path, capsys):
     missing = tmp_path / "missing.f2m"
     code, _, err = run(capsys, "verify", str(missing))
     assert code == 2
+    code, _, err = run(capsys, "verify", str(tmp_path))  # a directory
+    assert code == 2 and err.startswith("error:")
 
 
 def test_rank_command(tmp_path, capsys):
@@ -156,6 +158,17 @@ def test_search_modes(capsys):
     assert code == 0
     cert = json.loads(out)
     assert cert["candidates_examined"] == 1 << 16 and cert["violations"] == []
+
+
+def test_search_range_errors(capsys):
+    for bounds in (
+        ["--start", "-1"],
+        ["--stop", str((1 << 28) + 1)],
+        ["--start", "10", "--stop", "5"],
+        ["--start", "7", "--stop", "7"],
+    ):
+        code, out, err = run(capsys, "search", "--mode", "n3-exhaustive", *bounds)
+        assert code == 2 and out == "" and err.startswith("error: sweep range")
 
 
 def test_search_workers_env(capsys, monkeypatch):

@@ -162,6 +162,27 @@ def test_rank_invariances():
         assert rank_of_row_ints(added, n) == r
 
 
+def _mixed_identity(rng: random.Random, n: int, r: int) -> list[int]:
+    """An n x n matrix of rank r: an r-row identity block (the other rows
+    zero) mixed by random row additions and random column additions."""
+    rows = [1 << i for i in range(r)] + [0] * (n - r)
+    for _ in range(2 * n):
+        a, b = rng.sample(range(n), 2)
+        rows[a] ^= rows[b]
+        a, b = rng.sample(range(n), 2)
+        rows = [x ^ (((x >> b) & 1) << a) for x in rows]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rank_known_rank_large():
+    rng = random.Random(12)
+    for n, r in ((256, 0), (256, 1), (256, 255), (256, 256), (300, 137), (512, 500)):
+        rows = _mixed_identity(rng, n, r)
+        assert rank_of_row_ints(rows, n) == r
+        assert rank(BitMatrix(n, n, rows)) == r
+
+
 # ---------------------------------------------------------------------------
 # row_space_contains / rows_form_subspace
 # ---------------------------------------------------------------------------
@@ -192,6 +213,32 @@ def test_row_space_contains_against_enumeration():
     combos = xor_combinations(m.row_ints())
     for v in range(64):
         assert row_space_contains(m, BitVector(6, v)) == (v in combos)
+
+
+def _combine(rows: list[int], mask: int) -> int:
+    """XOR of the rows selected by the bits of mask."""
+    acc = 0
+    for i, x in enumerate(rows):
+        if (mask >> i) & 1:
+            acc ^= x
+    return acc
+
+
+def test_row_space_contains_combinations_large():
+    # b is a basis of GF(2)^n; m is spanned by its first r vectors, so a
+    # combination lies in rowspace(m) iff it uses none of the other n - r
+    rng = random.Random(13)
+    n, r = 256, 100
+    b = _mixed_identity(rng, n, n)
+    rows = b[:r] + [_combine(b[:r], rng.getrandbits(r)) for _ in range(60)]
+    rng.shuffle(rows)
+    m = BitMatrix(len(rows), n, rows)
+    assert rank(m) == r
+    for _ in range(40):
+        inside = _combine(rows, rng.getrandbits(len(rows)))
+        assert row_space_contains(m, BitVector(n, inside))
+        outside = _combine(b, rng.getrandbits(n) | 1 << rng.randrange(r, n))
+        assert not row_space_contains(m, BitVector(n, outside))
 
 
 def test_rows_form_subspace():
@@ -237,6 +284,10 @@ def test_f2mat_exact_text():
         "f2mat 2 2\n00\n00\nextra\n",
         "f2mat x y\n",
         "notf2mat 2 2\n00\n00\n",
+        # rows int(_, 2) would accept, each at the declared width
+        "f2mat 1 2\n+1\n",
+        "f2mat 1 3\n1_0\n",
+        "f2mat 1 2\n 1\n",
     ],
 )
 def test_f2mat_malformed(text):

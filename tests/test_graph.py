@@ -23,6 +23,32 @@ from f2rank.constructions import complete_graph, g2
 from conftest import random_graph
 
 
+def _assert_first_offence(adj: BitMatrix):
+    """Graph(adj) names the first offending entry in row-major order."""
+    n = adj.rows
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and adj.get(i, i):
+                with pytest.raises(NonzeroDiagonalError, match=rf"^diagonal entry \({i},{i}\) is 1$"):
+                    Graph(adj)
+                return
+            if adj.get(i, j) != adj.get(j, i):
+                with pytest.raises(NotSymmetricError, match=rf"^entries \({i},{j}\) and \({j},{i}\) differ$"):
+                    Graph(adj)
+                return
+    raise AssertionError("matrix has no offending entry")
+
+
+def _offending_cases(base: BitMatrix):
+    """Diagonal and asymmetric entries placed so that neither kind always
+    comes first, plus offences below the diagonal."""
+    n = base.rows
+    yield base.set_bit(n - 1, n - 1)
+    yield base.set_bit(2, 2).set_bit(2, 3, 1 - base.get(2, 3))
+    yield base.set_bit(3, 1, 1 - base.get(3, 1)).set_bit(2, 2)
+    yield base.set_bit(5, 4, 1 - base.get(5, 4)).set_bit(n - 1, 0, 1 - base.get(n - 1, 0))
+
+
 def test_graph_validation():
     with pytest.raises(NonzeroDiagonalError):
         Graph(BitMatrix.identity(2))
@@ -33,10 +59,11 @@ def test_graph_validation():
     g = Graph(BitMatrix.zeros(3, 3))
     assert g.order == 3 and g.edge_count() == 0
     Graph(g2().adj)  # the triangle-plus-isolated matrix is valid
+    for bad in _offending_cases(complete_graph(9).adj):
+        _assert_first_offence(bad)
 
 
 def test_validation_large_graph_path():
-    # n >= 64 takes the vectorized validation route
     g = complete_graph(70)
     assert Graph(g.adj).degree(0) == 69
     bad = g.adj.set_bit(0, 0, 1)
@@ -45,6 +72,8 @@ def test_validation_large_graph_path():
     bad2 = g.adj.set_bit(0, 1, 0)
     with pytest.raises(NotSymmetricError):
         Graph(bad2)
+    for bad in _offending_cases(random_graph(random.Random(14), 64).adj):
+        _assert_first_offence(bad)
 
 
 def test_twin_free_examples():

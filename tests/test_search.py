@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import multiprocessing
 import random
 
 from f2rank.gf2 import rank_of_row_ints
@@ -18,7 +19,7 @@ from f2rank.search import (
     sweep_range,
     sweep_range_reference,
 )
-from f2rank.verify import verify_extremal
+from f2rank.verify import full_report
 
 from conftest import random_graph
 
@@ -35,7 +36,7 @@ def test_enumerate_n2():
     for g in found:
         ok, witness = isomorphic(g, target)
         assert ok and witness is not None
-        assert verify_extremal(g, 2).passed
+        assert full_report(g, expect_n=2).report.passed
 
 
 def test_n2_certificate():
@@ -149,6 +150,29 @@ def test_sweep_worker_independence_small():
         run_exhaustive_sweep(stop=stop, chunk=1 << 16, workers=w) for w in (1, 2, 4)
     ]
     assert results[0] == results[1] == results[2]
+
+
+def test_sweep_pool_size_bounded_by_chunks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    serial = run_exhaustive_sweep(stop=1 << 14, chunk=1 << 12)
+    assert run_exhaustive_sweep(stop=1 << 14, chunk=1 << 12, workers=64) == serial
+    assert run_exhaustive_sweep(stop=1 << 14, chunk=1 << 12, workers=3) == serial
+    assert sizes == [4, 3]
 
 
 # ---------------------------------------------------------------------------

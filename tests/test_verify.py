@@ -23,10 +23,9 @@ from f2rank.verify import (
     full_report,
     quasirandom_deviation,
     srg_parameters,
-    verify_extremal,
 )
 
-from conftest import random_graph
+from conftest import random_graph, xor_combinations
 
 
 def _cycle(n: int) -> Graph:
@@ -133,14 +132,14 @@ def _reference_cases() -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# verify_extremal
+# construction checks: order, twin-freeness, rank, subspace rows, isolated vertex
 # ---------------------------------------------------------------------------
 
 
-def test_verify_extremal_passes_on_construction():
-    report = verify_extremal(g2_power(2), 4)
+def test_full_report_construction_checks_pass():
+    report = full_report(g2_power(2), expect_n=4).report
     assert report.passed
-    assert {c.name for c in report.checks} == {
+    assert {c.name for c in report.checks} >= {
         "order",
         "twin_free",
         "rank",
@@ -149,10 +148,10 @@ def test_verify_extremal_passes_on_construction():
     }
 
 
-def test_verify_extremal_failures():
-    r = verify_extremal(g2(), 3)
+def test_full_report_construction_checks_fail():
+    r = full_report(g2(), expect_n=3).report
     assert not r.passed and not r["order"].passed
-    r2 = verify_extremal(Graph.empty(2), 1)
+    r2 = full_report(Graph.empty(2), expect_n=1).report
     assert not r2.passed and not r2["twin_free"].passed
 
 
@@ -256,6 +255,30 @@ def test_coset_decompose_certificate():
         assert d.coset_vector == d.coset_vector_second_half
         half = a.rows // 2
         assert d.top_block == d.reordered.submatrix(list(range(half)), list(range(half)))
+
+
+def _greedy_basis(rows: list[int]) -> list[int]:
+    """Rows in ascending index order that lie outside the span of those kept."""
+    kept: list[int] = []
+    span = {0}
+    for r in rows:
+        if r not in span:
+            kept.append(r)
+            span = xor_combinations(kept)
+    return kept
+
+
+def test_coset_decompose_basis_is_first_appearance():
+    # the decomposition verdicts read the block structure in the order this
+    # basis induces, so the basis itself is pinned on relabelled members
+    rng = random.Random(15)
+    for m in (3, 4):
+        for _ in range(3):
+            g = _relabel(g2_power(m), rng)
+            rows_c = g.adj.row_ints()
+            d = coset_decompose(g.adj)
+            assert [rows_c[d.perm[1 << i]] for i in range(2 * m)] == _greedy_basis(rows_c)
+            assert decomposition_invariants(g.adj).passed
 
 
 def test_coset_decompose_rank_of_top_block():
