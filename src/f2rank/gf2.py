@@ -13,8 +13,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-WORD_BITS = 64
-
 
 class F2MatFormatError(ValueError):
     """Raised when f2mat text input is malformed."""
@@ -64,13 +62,6 @@ class BitVector:
     @property
     def bits(self) -> int:
         return self._bits
-
-    @property
-    def words(self) -> tuple[int, ...]:
-        """Packed storage, 64 bits per word, coordinate i in word i//64."""
-        n_words = max(1, (self.n + WORD_BITS - 1) // WORD_BITS)
-        b = self._bits
-        return tuple((b >> (WORD_BITS * w)) & _mask(WORD_BITS) for w in range(n_words))
 
     def bit(self, i: int) -> int:
         if not 0 <= i < self.n:

@@ -3,11 +3,15 @@ and exact graph isomorphism with a certifying bijection.
 
 The order-8 sweep enumerates all 2^28 symmetric zero-diagonal 8x8 matrices
 by treating the upper-triangle entries as counter bits (pairs (i,j), i<j,
-in row-major order).  Each candidate packs into one uint64 (byte i = row i),
-so batches are processed with branchless vectorized elimination; a scalar
-reference path exists for cross-checking.  Work partitions into disjoint
-counter ranges whose partial results combine associatively, so the outcome
-is independent of worker count.
+in row-major order).  Each candidate packs into one uint64 (byte i = row i).
+The sweep walks blocks of at most 2^14 counters that never cross a multiple
+of 2^14, so a block is one slice of a low-bits table ORed with one
+high-bits entry, and ranks a block with branchless pair pivots (p, q) with
+a_pq = 1, which clear two rows and columns per step of an alternating
+matrix; buffers are reused, so a block's working set stays in cache.  A
+scalar reference path exists for cross-checking.  Work partitions into
+disjoint counter ranges whose partial results combine associatively, so
+the outcome is independent of worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ N3_ORDER = 8
 N3_PAIRS = list(combinations(range(N3_ORDER), 2))
 N3_SPAN = 1 << len(N3_PAIRS)  # 2^28 candidates
 DEFAULT_CHUNK = 1 << 22
-_BATCH = 1 << 20
+_BLOCK = 1 << 14  # one value of the high 14 counter bits
 
 _LANE = np.uint64(0x0101010101010101)
 _GATHER = np.uint64(0x0102040810204080)
@@ -181,6 +185,8 @@ class SweepStats:
     rank3_with_duplicate_rows: int = 0
     subspace_matrices: int = 0
     twin_free_rank3: list[int] = field(default_factory=list)
+    # rank_counts[r] = candidates of GF(2)-rank r; not part of the certificate
+    rank_counts: list[int] = field(default_factory=lambda: [0] * (N3_ORDER + 1))
 
     def merge(self, other: SweepStats) -> SweepStats:
         return SweepStats(
@@ -189,57 +195,115 @@ class SweepStats:
             self.rank3_with_duplicate_rows + other.rank3_with_duplicate_rows,
             self.subspace_matrices + other.subspace_matrices,
             self.twin_free_rank3 + other.twin_free_rank3,
+            [a + b for a, b in zip(self.rank_counts, other.rank_counts)],
         )
+
+    def _record_rank3(self, counter: int, twin_free: bool, has_zero: bool):
+        self.rank3_total += 1
+        if twin_free:
+            self.twin_free_rank3.append(counter)
+            if has_zero:
+                self.subspace_matrices += 1
+        else:
+            self.rank3_with_duplicate_rows += 1
 
 
 _half_tables: tuple[np.ndarray, np.ndarray] | None = None
 
 
+def _alternating(packed: np.ndarray) -> bool:
+    """True iff every packed 8x8 matrix is symmetric with zero diagonal."""
+    bits = np.unpackbits(
+        packed.astype("<u8").view(np.uint8), bitorder="little"
+    ).reshape(-1, 8, 8)
+    return bool(
+        np.array_equal(bits, bits.transpose(0, 2, 1))
+        and not bits.diagonal(axis1=1, axis2=2).any()
+    )
+
+
 def _counter_half_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Packed-row contributions of the low and high 14 counter bits."""
+    """Packed-row contributions of the low and high 14 counter bits.
+
+    Every entry is alternating, so every candidate lo[a] | hi[b] (an XOR:
+    the two halves touch disjoint entries) is too, which is the input
+    domain of _packed_rank.
+    """
     global _half_tables
     if _half_tables is None:
-        lo = np.zeros(1 << 14, dtype=np.uint64)
-        hi = np.zeros(1 << 14, dtype=np.uint64)
+        lo = np.zeros(_BLOCK, dtype=np.uint64)
+        hi = np.zeros(_BLOCK, dtype=np.uint64)
         for p, (i, j) in enumerate(N3_PAIRS):
             contrib = np.uint64((1 << (8 * i + j)) | (1 << (8 * j + i)))
             table, bit = (lo, p) if p < 14 else (hi, p - 14)
-            idx = np.nonzero(np.arange(1 << 14) & (1 << bit))[0]
+            idx = np.nonzero(np.arange(_BLOCK) & (1 << bit))[0]
             table[idx] ^= contrib
+        if not (_alternating(lo) and _alternating(hi)):
+            raise AssertionError("counter tables hold a non-alternating matrix")
         _half_tables = (lo, hi)
     return _half_tables
 
 
-_SPREAD = np.array(
-    [sum(1 << (8 * k) for k in range(8) if (m >> k) & 1) for m in range(256)],
-    dtype=np.uint64,
-)
-_LOG2 = np.zeros(256, dtype=np.uint64)
-for _k in range(8):
-    _LOG2[1 << _k] = _k
+# _LOWBIT[m] = index of the lowest set bit of the byte m (0 for m = 0)
+_LOWBIT = np.array([(m & -m).bit_length() - 1 if m else 0 for m in range(256)], dtype=np.uint64)
+
+
+class _PairPivot:
+    """The pair-pivot rank kernel with its scratch buffers, for up to
+    `size` packed matrices per call; one instance serves a whole sweep."""
+
+    def __init__(self, size: int):
+        self._words = np.empty((5, size), dtype=np.uint64)
+        self._nonzero = np.empty(size, dtype=bool)
+        self._rank = np.empty(size, dtype=np.uint8)
+
+    def __call__(self, mat: np.ndarray) -> np.ndarray:
+        """Ranks of the alternating matrices in `mat`, which is overwritten.
+
+        Step k takes row k (r_k) and the lowest set bit q of r_k; a_kq = 1
+        pivots the pair (k, q).  Let SPREAD[r] hold bit i of r in byte i;
+        by symmetry column j is row j, so SPREAD[r_j] = (mat >> j) & LANE.
+        mat ^= SPREAD[r_q] * r_k ^ SPREAD[r_k] * r_q clears rows and
+        columns k and q, keeps mat alternating and lowers its rank by 2; a
+        zero r_k makes both products zero.  After steps 0..4 rows 0..4 are
+        zero and rows 5..7 hold a 3x3 alternating matrix, whose rank is 2
+        unless it is zero, so a nonzero test replaces steps 5 and 6.
+        """
+        n = mat.size
+        rk, q, sq, sk, rq = self._words[:, :n]
+        nonzero, rank = self._nonzero[:n], self._rank[:n]
+        rank.fill(0)
+        rk_index = rk.view(np.intp)
+        for k in range(5):
+            np.right_shift(mat, np.uint64(8 * k), out=rk)
+            np.bitwise_and(rk, _U255, out=rk)
+            np.take(_LOWBIT, rk_index, out=q, mode="clip")  # bytes: never clipped
+            np.right_shift(mat, q, out=sq)
+            np.bitwise_and(sq, _LANE, out=sq)  # SPREAD[r_q]
+            np.multiply(sq, _GATHER, out=rq)
+            np.right_shift(rq, _U56, out=rq)  # r_q
+            np.right_shift(mat, np.uint64(k), out=sk)
+            np.bitwise_and(sk, _LANE, out=sk)  # SPREAD[r_k]
+            np.multiply(sq, rk, out=sq)
+            np.multiply(sk, rq, out=sk)
+            np.bitwise_xor(mat, sq, out=mat)
+            np.bitwise_xor(mat, sk, out=mat)
+            np.not_equal(rk, 0, out=nonzero)
+            np.add(rank, nonzero, out=rank)
+        np.right_shift(mat, np.uint64(40), out=rk)
+        np.not_equal(rk, 0, out=nonzero)
+        np.add(rank, nonzero, out=rank)
+        np.add(rank, rank, out=rank)
+        return rank
 
 
 def _packed_rank(mat: np.ndarray) -> np.ndarray:
-    """GF(2) rank of each packed 8x8 matrix (byte i = row i), branchless."""
-    mat = mat.copy()
-    used = np.zeros_like(mat)
-    rank = np.zeros_like(mat)
-    one = np.uint64(1)
-    for col in range(8):
-        bits = (((mat >> np.uint64(col)) & _LANE) * _GATHER) >> _U56
-        cand = bits & ~used
-        pivot = cand & (~cand + one)
-        elim = cand ^ pivot
-        pidx = _LOG2[pivot]
-        prow = (mat >> (pidx << np.uint64(3))) & _U255
-        mat ^= _SPREAD[elim] * prow
-        used |= pivot
-        rank += (pivot != 0).astype(np.uint64)
-    return rank
+    """GF(2) rank of each packed 8x8 matrix (byte i = row i), branchless.
 
-
-def _packed_to_rows(packed: int) -> list[int]:
-    return [(packed >> (8 * i)) & 0xFF for i in range(8)]
+    Exact only on alternating matrices (symmetric, zero diagonal), the
+    sweep's whole domain: pair pivoting returns even ranks only.
+    """
+    return _PairPivot(mat.size)(mat.copy())
 
 
 def scalar_candidate_stats(counter: int) -> tuple[int, bool, bool]:
@@ -249,32 +313,37 @@ def scalar_candidate_stats(counter: int) -> tuple[int, bool, bool]:
 
 
 def sweep_range(start: int, stop: int) -> SweepStats:
-    """Examine counters [start, stop) with the vectorized engine."""
+    """Examine counters [start, stop) with the vectorized engine.
+
+    Blocks never cross a multiple of 2^14, so a block's candidates are one
+    slice of the low table ORed with one entry of the high table, and the
+    block and the kernel's buffers stay in cache.
+    """
     lo, hi = _counter_half_tables()
-    stats = SweepStats(candidates_examined=stop - start)
-    mask14 = np.uint64((1 << 14) - 1)
-    for base in range(start, stop, _BATCH):
-        end = min(base + _BATCH, stop)
-        counters = np.arange(base, end, dtype=np.uint64)
-        packed = lo[(counters & mask14).astype(np.intp)] | hi[
-            (counters >> np.uint64(14)).astype(np.intp)
-        ]
-        ranks = _packed_rank(packed)
-        hits = np.nonzero(ranks == 3)[0]
-        for offset in hits.tolist():
-            counter = base + offset
-            r, twin_free, has_zero = scalar_candidate_stats(counter)
-            if r != 3:
-                raise AssertionError(
-                    f"vectorized rank disagrees with reference at counter {counter}"
-                )
-            stats.rank3_total += 1
-            if twin_free:
-                stats.twin_free_rank3.append(counter)
-                if has_zero:
-                    stats.subspace_matrices += 1
-            else:
-                stats.rank3_with_duplicate_rows += 1
+    stats = SweepStats()
+    counts = np.zeros(N3_ORDER + 1, dtype=np.int64)
+    kernel = _PairPivot(_BLOCK)
+    block = np.empty(_BLOCK, dtype=np.uint64)
+    base = start
+    while base < stop:
+        offset = base % _BLOCK
+        size = min(_BLOCK - offset, stop - base)
+        packed = np.bitwise_or(lo[offset : offset + size], hi[base // _BLOCK], out=block[:size])
+        ranks = kernel(packed)
+        block_counts = np.bincount(ranks, minlength=N3_ORDER + 1)
+        counts += block_counts
+        if block_counts[3]:
+            for hit in np.flatnonzero(ranks == 3).tolist():
+                counter = base + hit
+                r, twin_free, has_zero = scalar_candidate_stats(counter)
+                if r != 3:
+                    raise AssertionError(
+                        f"vectorized rank disagrees with reference at counter {counter}"
+                    )
+                stats._record_rank3(counter, twin_free, has_zero)
+        base += size
+    stats.rank_counts = counts.tolist()
+    stats.candidates_examined = sum(stats.rank_counts)
     return stats
 
 
@@ -283,14 +352,9 @@ def sweep_range_reference(start: int, stop: int) -> SweepStats:
     stats = SweepStats(candidates_examined=stop - start)
     for counter in range(start, stop):
         r, twin_free, has_zero = scalar_candidate_stats(counter)
+        stats.rank_counts[r] += 1
         if r == 3:
-            stats.rank3_total += 1
-            if twin_free:
-                stats.twin_free_rank3.append(counter)
-                if has_zero:
-                    stats.subspace_matrices += 1
-            else:
-                stats.rank3_with_duplicate_rows += 1
+            stats._record_rank3(counter, twin_free, has_zero)
     return stats
 
 

@@ -317,7 +317,7 @@ def _is_symmetric_zero_diag(a: BitMatrix) -> bool:
     return True
 
 
-def coset_decompose(a: BitMatrix) -> CosetDecomposition:
+def coset_decompose(a: BitMatrix | Graph) -> CosetDecomposition:
     """Reorder a subspace matrix into coset order and split off B and u.
 
     The basis is the rows that become pivots of gf2.echelon, that is the
@@ -325,9 +325,12 @@ def coset_decompose(a: BitMatrix) -> CosetDecomposition:
     After conjugating by the computed permutation, row k equals the XOR of
     the basis rows selected by k's binary digits, and the matrix has the
     block form [B | B+U^T ; B+U | B+U+U^T] where every row of U is the
-    coset vector u.
+    coset vector u.  A Graph's adjacency was validated when the Graph was
+    built; a bare BitMatrix is checked for symmetry and zero diagonal.
     """
-    if not _is_symmetric_zero_diag(a):
+    if isinstance(a, Graph):
+        a = a.adj
+    elif not _is_symmetric_zero_diag(a):
         raise NotSubspaceMatrixError("matrix is not symmetric with zero diagonal")
     basis_idx = subspace_basis(a)
     if basis_idx is None:
@@ -376,7 +379,7 @@ def _assert_block_identity(reordered: BitMatrix, b: BitMatrix, u: BitVector):
         raise AssertionError("coset block identity violated")
 
 
-def decomposition_invariants(a: BitMatrix) -> VerificationReport:
+def decomposition_invariants(a: BitMatrix | Graph) -> VerificationReport:
     """Run both decomposition levels and check every block-structure claim.
 
     Index conventions: u is the first half of reordered row 2^(n-1) (its
@@ -636,6 +639,6 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
             f"{swapped_trace:g} and is rejected",
         )
 
-    decomp = decomposition_invariants(g.adj)
+    decomp = decomposition_invariants(g)
     report.extend(decomp, prefix="decomposition.")
     return FullVerification(report=report, rank=r, srg=srg, spectrum=spectrum)

@@ -31,3 +31,22 @@ def xor_combinations(rows: list[int]) -> set[int]:
             i += 1
         out.add(acc)
     return out
+
+
+def alternating_rank_counts(n: int) -> list[int]:
+    """counts[r] = number of n x n alternating matrices over GF(2) of rank r.
+
+    MacWilliams, "Orthogonal matrices over finite fields" (1969): rank 2k
+    occurs 2^(k(k-1)) * prod_{i<2k} (2^(n-i) - 1) / prod_{i=1..k} (2^(2i) - 1)
+    times, and odd ranks never occur.
+    """
+    counts = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        num = 1 << (k * (k - 1))
+        for i in range(2 * k):
+            num *= (1 << (n - i)) - 1
+        den = 1
+        for i in range(1, k + 1):
+            den *= (1 << (2 * i)) - 1
+        counts[2 * k] = num // den
+    return counts

@@ -40,7 +40,7 @@ from f2rank.verify import (
     srg_parameters,
 )
 
-from conftest import random_bitmatrix, random_graph
+from conftest import alternating_rank_counts, random_bitmatrix, random_graph
 
 
 def _report(num: int, ok: bool, desc: str, t0: float, budget: float):
@@ -167,8 +167,14 @@ def test_criterion_10_n3_nonexistence():
     # so the subspace-restricted sweep is vacuously twin-free-free as well
     ok = ok and stats.rank3_total == 0 and stats.rank3_with_duplicate_rows == 0
     ok = ok and stats.subspace_matrices == 0
+    # the full rank histogram must equal MacWilliams' exact counts of 8x8
+    # alternating matrices over GF(2), so no candidate was skipped or
+    # ranked wrongly
+    macwilliams = [1, 0, 10795, 0, 5622036, 0, 149920960, 0, 112881664]
+    ok = ok and alternating_rank_counts(8) == macwilliams
+    ok = ok and stats.rank_counts == macwilliams
     ok = ok and structured_elapsed < 1
-    _report(10, ok, "structured 8-case check and full 2^28 sweep: no twin-free rank-3 order-8 graph", t0, 600)
+    _report(10, ok, "structured 8-case check and full 2^28 sweep: no twin-free rank-3 order-8 graph, rank histogram exact", t0, 600)
 
 
 def test_criterion_11_odd_construction():

@@ -37,6 +37,25 @@ def test_construct_bad_param(capsys):
     assert code == 2 and "error" in err
 
 
+def test_construct_param_over_order_cap(monkeypatch, capsys):
+    from f2rank import cli
+
+    def refuse(param):
+        raise AssertionError(f"builder called with param {param}")
+
+    for name in ("g2_power", "linegraph_clique_plus_isolated", "extremal_odd_plus_one"):
+        monkeypatch.setattr(cli, name, refuse)
+    over = [("g2pow", 8), ("g2pow", 40), ("g2pow", 10**9), ("linegraph-k", 182),
+            ("linegraph-k", 10**9), ("odd", 15), ("odd", 41)]
+    for family, param in over:
+        code, out, err = run(capsys, "construct", "--family", family, "--param", str(param))
+        assert code == 2 and out == ""
+        assert err == f"error: --family {family} --param {param} exceeds the order cap 16384\n"
+    # the largest members under the cap (orders 16384, 16291 and 8192)
+    for family, param in [("g2pow", 7), ("linegraph-k", 181), ("odd", 13)]:
+        assert not cli._exceeds_order_cap(family, param)
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     good = tmp_path / "good.f2m"
     good.write_text(g2_power(3).adj.to_f2mat())

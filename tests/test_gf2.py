@@ -52,14 +52,6 @@ def test_bitvector_slice_concat():
     assert v.slice(0, 4).concat(v.slice(4, 8)) == v
 
 
-def test_words_layout():
-    v = BitVector(70, (1 << 69) | 1)
-    words = v.words
-    assert len(words) == 2
-    assert words[0] == 1
-    assert words[1] == 1 << 5
-
-
 @given(st.integers(1, 80), st.data())
 def test_bitvector_padding_and_self_xor(n, data):
     bits = data.draw(st.integers(0, (1 << n) - 1))

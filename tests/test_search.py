@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+from itertools import combinations
+
+import pytest
 
 from f2rank.gf2 import rank_of_row_ints
 from f2rank.graph import Graph
@@ -21,7 +24,7 @@ from f2rank.search import (
 )
 from f2rank.verify import full_report
 
-from conftest import random_graph
+from conftest import alternating_rank_counts, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +120,27 @@ def test_sweep_agrees_with_reference():
         )
 
 
+def test_sweep_unaligned_ranges_match_reference():
+    # ranges that start or stop off a 2^14 block boundary, or cross one;
+    # the rank histogram differs from the reference if a counter is
+    # skipped or examined twice
+    ranges = [(16380, 16390), (5, 20000), (1 << 14, (1 << 14) + 3), ((1 << 28) - 7, 1 << 28)]
+    for start, stop in ranges:
+        got = sweep_range(start, stop)
+        assert got == sweep_range_reference(start, stop)
+        assert sum(got.rank_counts) == got.candidates_examined == stop - start
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_alternating_rank_counts_brute_force(n):
+    pairs = list(combinations(range(n), 2))
+    counts = [0] * (n + 1)
+    for counter in range(1 << len(pairs)):
+        counts[rank_of_row_ints(_rows_from_counter(counter, n, pairs), n)] += 1
+    assert counts == alternating_rank_counts(n)
+    assert counts[:5] == ([1, 0, 35, 0, 28] if n == 4 else [1, 0, 155, 0, 868])
+
+
 def test_sweep_rank_matches_scalar_on_samples():
     import numpy as np
 
@@ -140,7 +164,7 @@ def test_sweep_partition_independence():
     whole = run_exhaustive_sweep(stop=stop, chunk=stop)
     quarters = run_exhaustive_sweep(stop=stop, chunk=stop // 4)
     eighths = run_exhaustive_sweep(stop=stop, chunk=stop // 8)
-    assert whole == quarters == eighths
+    assert whole == quarters == eighths == sweep_range(0, stop)
     assert whole.candidates_examined == stop
 
 

@@ -388,6 +388,27 @@ def test_full_report_builds_one_gram_matrix(monkeypatch):
         assert calls == [g.order]
 
 
+def test_full_report_validates_its_graph_once(monkeypatch):
+    # a Graph's adjacency is validated when the Graph is built; the
+    # decomposition path must not rebuild it, while a bare BitMatrix still
+    # goes through the check
+    def checks(g):
+        return [c.to_json() for c in full_report(g).report.checks]
+
+    graphs = [g2_power(2), g2_power(3)]
+    expected = [(checks(g), coset_decompose(g.adj).perm) for g in graphs]
+
+    def refuse(a):
+        raise AssertionError("a validated Graph was validated again")
+
+    monkeypatch.setattr(verify, "_is_symmetric_zero_diag", refuse)
+    for g, (want_checks, want_perm) in zip(graphs, expected):
+        assert checks(g) == want_checks
+        assert coset_decompose(g).perm == want_perm
+    with pytest.raises(AssertionError, match="validated again"):
+        coset_decompose(g2_power(2).adj)
+
+
 def test_full_report_skips_large_spectrum(monkeypatch):
     monkeypatch.setattr(verify, "SPECTRUM_CAP", 8)
     result = full_report(g2_power(2))
