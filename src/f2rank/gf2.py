@@ -271,27 +271,33 @@ class BitMatrix:
 
     def to_bool_array(self) -> np.ndarray:
         """Dense uint8 array with arr[i, j] = entry (i, j)."""
-        n_bytes = max(1, (self.cols + 7) // 8)
-        buf = np.empty((self.rows, n_bytes), dtype=np.uint8)
-        for i, r in enumerate(self._r):
-            buf[i] = np.frombuffer(r.to_bytes(n_bytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(buf, axis=1, bitorder="little")
-        return bits[:, : self.cols]
+        n_bytes = (self.cols + 7) // 8
+        data = b"".join(r.to_bytes(n_bytes, "little") for r in self._r)
+        buf = np.frombuffer(data, dtype=np.uint8).reshape(self.rows, n_bytes)
+        return np.unpackbits(buf, axis=1, count=self.cols, bitorder="little")
 
     @classmethod
     def from_bool_array(cls, arr: np.ndarray) -> BitMatrix:
-        arr = np.asarray(arr, dtype=np.uint8) & 1
+        """Matrix whose entry (i, j) is 1 where arr[i, j] is nonzero."""
+        arr = np.asarray(arr)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
         rows, cols = arr.shape
-        packed = np.packbits(arr, axis=1, bitorder="little")
-        out = [int.from_bytes(packed[i].tobytes(), "little") for i in range(rows)]
+        n_bytes = (cols + 7) // 8
+        data = np.packbits(arr, axis=1, bitorder="little").tobytes()
+        out = [int.from_bytes(data[i * n_bytes : (i + 1) * n_bytes], "little") for i in range(rows)]
         return cls(rows, cols, out)
 
     def to_f2mat(self) -> str:
-        lines = [f"f2mat {self.rows} {self.cols}"]
-        lines.extend(self.row(i).to01() for i in range(self.rows))
-        return "\n".join(lines) + "\n"
+        # header and rows share one buffer that is decoded once, so no
+        # copy of the whole text is made to join them
+        header = f"f2mat {self.rows} {self.cols}\n".encode("ascii")
+        text = np.full(len(header) + self.rows * (self.cols + 1), ord("\n"), dtype=np.uint8)
+        text[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+        # the '0'/'1' bytes of each row, then a newline column
+        image = text[len(header) :].reshape(self.rows, self.cols + 1)
+        np.add(self.to_bool_array(), ord("0"), out=image[:, : self.cols])
+        return str(text, "ascii")
 
     @classmethod
     def from_f2mat(cls, text: str) -> BitMatrix:
@@ -313,15 +319,21 @@ class BitMatrix:
         trailing = body[rows:]
         if any(t != "" for t in trailing):
             raise F2MatFormatError("trailing content after matrix rows")
-        out = []
-        for k in range(rows):
-            line = body[k]
-            # strip runs in C; it also rejects what int(_, 2) would take
-            # ("+1", "1_0", " 1")
-            if len(line) != cols or line.strip("01"):
-                raise F2MatFormatError(f"row {k + 1} is not {cols} characters of 0/1")
-            out.append(int(line[::-1], 2) if line else 0)
-        return cls(rows, cols, out)
+        # rows before the first one of the wrong length form a text image
+        # of width cols; its first byte other than '0'/'1' ("+1", "1_0" and
+        # " 1" included) names an earlier bad row ("replace" keeps one byte
+        # per character)
+        lengths = np.fromiter(map(len, body[:rows]), dtype=np.int64, count=rows)
+        k = int(np.append(lengths != cols, True).argmax())
+        chars = np.frombuffer("".join(body[:k]).encode("ascii", "replace"), dtype=np.uint8)
+        stray = (chars | 1) != ord("1")
+        if stray.any():
+            k = int(stray.argmax()) // cols
+        if k < rows:
+            raise F2MatFormatError(f"row {k + 1} is not {cols} characters of 0/1")
+        if not rows:  # cols may exceed any array dimension
+            return cls(0, cols)
+        return cls.from_bool_array(chars.reshape(rows, cols) - ord("0"))
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -26,6 +26,32 @@ class Graph6FormatError(ValueError):
     """Raised when graph6 text input is malformed."""
 
 
+_TILE = 256
+
+
+def _first_offence(arr: np.ndarray) -> tuple[int, int] | None:
+    """First entry in row-major order that is a diagonal 1 or differs from
+    its transpose, or None.
+
+    Offences come in mirrored pairs, so the first lies on or above the
+    diagonal.  Each band of _TILE rows is compared there tile by tile with
+    the transposed tiles below the diagonal, which keeps both reads in
+    cache where a whole transpose is a strided walk over the matrix.
+    """
+    n = len(arr)
+    for r0 in range(0, n, _TILE):
+        rows = slice(r0, r0 + _TILE)
+        band = np.empty((min(_TILE, n - r0), n - r0), dtype=bool)
+        for c0 in range(r0, n, _TILE):
+            tile = (rows, slice(c0, c0 + _TILE))
+            np.not_equal(arr[tile], arr[tile[::-1]].T, out=band[:, c0 - r0 : c0 - r0 + _TILE])
+        np.fill_diagonal(band, arr.diagonal()[rows])
+        if band.any():
+            i, j = divmod(int(band.argmax()), n - r0)
+            return r0 + i, r0 + j
+    return None
+
+
 class Graph:
     """Immutable simple graph; adj is validated on construction."""
 
@@ -34,14 +60,9 @@ class Graph:
     def __init__(self, adj: BitMatrix):
         if adj.rows != adj.cols:
             raise NotSymmetricError("adjacency matrix must be square")
-        n = adj.rows
-        arr = adj.to_bool_array()
-        # an offending entry is a diagonal 1 or an entry that differs from
-        # its transpose; report the first one in row-major order
-        bad = arr != arr.T
-        np.fill_diagonal(bad, arr.diagonal())
-        if bad.any():
-            i, j = divmod(int(bad.argmax()), n)
+        offence = _first_offence(adj.to_bool_array())
+        if offence is not None:
+            i, j = offence
             if i == j:
                 raise NonzeroDiagonalError(f"diagonal entry ({i},{i}) is 1")
             raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
@@ -177,26 +198,17 @@ def _g6_size_bytes(n: int) -> bytes:
     return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
 
 
-def _upper_triangle_bits(g: Graph) -> np.ndarray:
-    """Upper-triangle entries in column order (0,1),(0,2),(1,2),(0,3),..."""
-    arr = g.adj.to_bool_array()
-    n = g.order
-    if n < 2:
-        return np.zeros(0, dtype=np.uint8)
-    return np.concatenate([arr[:j, j] for j in range(1, n)])
-
-
 def to_graph6(g: Graph) -> str:
-    """Encode as a graph6 line (no header, no trailing newline)."""
+    """Encode as a graph6 line (no header, no trailing newline).
+
+    graph6 lists the upper triangle column by column, (0,1),(0,2),(1,2),...;
+    in a symmetric matrix that is the strict lower triangle row by row.
+    """
     n = g.order
-    bits = _upper_triangle_bits(g)
-    pad = (-len(bits)) % 6
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    groups = bits.reshape(-1, 6)
-    weights = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
-    body = (groups * weights).sum(axis=1, dtype=np.int64) + 63
-    return _g6_size_bytes(n).decode("ascii") + "".join(chr(c) for c in body)
+    bits = g.adj.to_bool_array()[np.tri(n, n, -1, dtype=bool)]
+    groups = np.append(bits, np.zeros(-bits.size % 6, dtype=np.uint8)).reshape(-1, 6)
+    body = (np.packbits(groups, axis=1).ravel() >> 2) + 63
+    return (_g6_size_bytes(n) + body.tobytes()).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:
@@ -206,31 +218,30 @@ def from_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise Graph6FormatError("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(d < 0 or d > 63 for d in data):
+    # bytes below '?' wrap above 63
+    data = np.frombuffer(s.encode("ascii", "replace"), dtype=np.uint8) - 63
+    if not s.isascii() or (data > 63).any():
         raise Graph6FormatError("character out of graph6 range")
     if data[0] == 63:  # byte 126: long size form
         if len(data) < 4:
             raise Graph6FormatError("truncated size field")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        hi, mid, lo = data[1:4].tolist()
+        n = (hi << 12) | (mid << 6) | lo
         body = data[4:]
     else:
-        n = data[0]
+        n = int(data[0])
         body = data[1:]
     n_bits = n * (n - 1) // 2
     if len(body) != (n_bits + 5) // 6:
         raise Graph6FormatError(
             f"expected {(n_bits + 5) // 6} data characters for n={n}, got {len(body)}"
         )
-    if n == 0:
-        return Graph.empty(0)
-    vals = np.array(body, dtype=np.uint8)
-    bits = np.unpackbits(vals.reshape(-1, 1), axis=1, bitorder="big")[:, 2:].reshape(-1)
-    bits = bits[:n_bits]
+    bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()[:n_bits]
     arr = np.zeros((n, n), dtype=np.uint8)
-    pos = 0
-    for j in range(1, n):
-        arr[:j, j] = bits[pos : pos + j]
-        pos += j
-    arr |= arr.T
+    arr[np.tri(n, n, -1, dtype=bool)] = bits
+    # mirror the lower triangle tile by tile, as in _first_offence
+    for r0 in range(0, n, _TILE):
+        for c0 in range(0, r0 + 1, _TILE):
+            tile = (slice(r0, r0 + _TILE), slice(c0, c0 + _TILE))
+            arr[tile[::-1]] |= arr[tile].T
     return Graph(BitMatrix.from_bool_array(arr))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf2 import BitMatrix, _mask
+from .gf2 import BitMatrix
 from .graph import Graph
 
 
@@ -59,53 +59,14 @@ def unsign_map(s: SignMatrix) -> BitMatrix:
 
 def kronecker(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """GF(2) Kronecker product: block (i, j) is b when a[i][j]=1, else zero."""
-    out = []
-    for i in range(a.rows):
-        arow = a.row_int(i)
-        for k in range(b.rows):
-            brow = b.row_int(k)
-            bits = 0
-            j = 0
-            rest = arow
-            while rest:
-                if rest & 1:
-                    bits |= brow << (j * b.cols)
-                rest >>= 1
-                j += 1
-            out.append(bits)
-    return BitMatrix(a.rows * b.rows, a.cols * b.cols, out)
+    return BitMatrix.from_bool_array(np.kron(a.to_bool_array(), b.to_bool_array()))
 
 
 def parity_product(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Blockwise XOR product: block (i, j) is b with every entry XOR a[i][j]."""
-    mc, mr = b.cols, b.rows
-    block_mask = _mask(mc)
-    # spread row of a: bit j becomes an mc-wide run of that bit
-    spreads = []
-    for i in range(a.rows):
-        arow = a.row_int(i)
-        s = 0
-        j = 0
-        while arow:
-            if arow & 1:
-                s |= block_mask << (j * mc)
-            arow >>= 1
-            j += 1
-        spreads.append(s)
-    # replicate each row of b across all a-columns
-    reps = []
-    for k in range(mr):
-        brow = b.row_int(k)
-        r = 0
-        for j in range(a.cols):
-            r |= brow << (j * mc)
-        reps.append(r)
-    out = []
-    for i in range(a.rows):
-        s = spreads[i]
-        for k in range(mr):
-            out.append(reps[k] ^ s)
-    return BitMatrix(a.rows * mr, a.cols * mc, out)
+    x, y = a.to_bool_array(), b.to_bool_array()
+    blocks = x[:, None, :, None] ^ y[None, :, None, :]  # axes (i, k, j, l)
+    return BitMatrix.from_bool_array(blocks.reshape(a.rows * b.rows, a.cols * b.cols))
 
 
 def parity_product_graph(g: Graph, h: Graph) -> Graph:

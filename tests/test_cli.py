@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f2rank.cli import main
 from f2rank.gf2 import BitMatrix
@@ -129,6 +134,55 @@ def test_verify_malformed_input(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "verify", str(tmp_path))  # a directory
     assert code == 2 and err.startswith("error:")
+    path.write_text("f2mat 0 99999999999999999999\n")  # no rows, absurd width
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and err == "error: adjacency matrix must be square\n"
+
+
+def _graph6_like(n: int, body: str) -> bytes:
+    """A graph6 line whose size field says n, with body cut or padded."""
+    want = (n * (n - 1) // 2 + 5) // 6
+    return (chr(n + 63) + (body * want)[:want]).encode()
+
+
+# at most 2 KB each, so no input asks for a large order
+_INPUT_FILES = st.one_of(
+    st.binary(max_size=2048),
+    st.text(alphabet="f2mat 01-9\n\r?~Cw", max_size=300).map(str.encode),
+    st.builds(
+        lambda r, c, body: f"f2mat {r} {c}\n{body}".encode(),
+        st.integers(-2, 40),
+        st.one_of(st.integers(-2, 40), st.just(10**20)),  # a width no array can take
+        st.text(alphabet="01\n x", max_size=1600),
+    ),
+    st.builds(_graph6_like, st.integers(0, 62), st.text(alphabet="?@_`~w", max_size=64)),
+)
+_FUZZED_COMMANDS = [
+    ["convert", "--format", "graph6"],
+    ["convert", "--format", "f2mat"],
+    ["rank"],
+    ["verify"],
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_INPUT_FILES, st.sampled_from(_FUZZED_COMMANDS))
+def test_random_input_files_exit_cleanly(data, command):
+    fd, path = tempfile.mkstemp(suffix=".in")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command[:1] + [path] + command[1:])
+    finally:
+        os.unlink(path)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
 
 
 def test_rank_command(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -265,23 +266,51 @@ def test_f2mat_exact_text():
     assert g2().adj.to_f2mat() == "f2mat 4 4\n0110\n1010\n1100\n0000\n"
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "f2mat 2\n00\n00\n",
-        "f2mat 2 2\n00\n",
-        "f2mat 2 2\n00\n0\n",
-        "f2mat 2 2\n00\n02\n",
-        "f2mat 2 2\n00\n00\nextra\n",
-        "f2mat x y\n",
-        "notf2mat 2 2\n00\n00\n",
-        # rows int(_, 2) would accept, each at the declared width
-        "f2mat 1 2\n+1\n",
-        "f2mat 1 3\n1_0\n",
-        "f2mat 1 2\n 1\n",
-    ],
-)
+@given(st.integers(0, 12), st.integers(0, 70), st.randoms(use_true_random=False))
+def test_f2mat_round_trip_property(rows, cols, rnd):
+    """Widths that are not whole bytes, rows = 0 and cols = 0 included."""
+    m = random_bitmatrix(rnd, rows, cols)
+    text = m.to_f2mat()
+    # reference text: one row at a time, character j is column j
+    assert text == f"f2mat {rows} {cols}\n" + "".join(m.row(i).to01() + "\n" for i in range(rows))
+    assert BitMatrix.from_f2mat(text) == m
+    assert BitMatrix.from_bool_array(m.to_bool_array()) == m
+    assert m.to_bool_array().tolist() == [[m.get(i, j) for j in range(cols)] for i in range(rows)]
+
+
+_ROW_2 = "row 2 is not 2 characters of 0/1"
+F2MAT_MALFORMED = {
+    "": "missing 'f2mat' header",
+    "f2mat 2\n00\n00\n": "bad header line: 'f2mat 2'",
+    "f2mat 2 2\n00\n": _ROW_2,
+    "f2mat 2 2\n00\n0\n": _ROW_2,
+    "f2mat 2 2\n00\n02\n": _ROW_2,
+    "f2mat 2 2\n00\n00\nextra\n": "trailing content after matrix rows",
+    "f2mat x y\n": "bad header line: 'f2mat x y'",
+    "notf2mat 2 2\n00\n00\n": "missing 'f2mat' header",
+    # rows int(_, 2) would accept, each at the declared width
+    "f2mat 1 2\n+1\n": "row 1 is not 2 characters of 0/1",
+    "f2mat 1 3\n1_0\n": "row 1 is not 3 characters of 0/1",
+    "f2mat 1 2\n 1\n": "row 1 is not 2 characters of 0/1",
+    # the first bad row is named, whether its length or a character is wrong
+    "f2mat 3 2\n00\n1\n0x\n": _ROW_2,
+    "f2mat 3 2\n00\n0x\n1\n": _ROW_2,
+    "f2mat 3 2\n00\n11\n0\u00e9\n": "row 3 is not 2 characters of 0/1",
+    "f2mat 2 2\r\n00\r\n00\r\n": "row 1 is not 2 characters of 0/1",
+    "f2mat 2 2\n00\n00\r\n": _ROW_2,
+    "f2mat 1 99999999999999999999\n0\n": "row 1 is not 99999999999999999999 characters of 0/1",
+    "f2mat 2 2\n00": "expected 2 rows, found 1",
+}
+
+
+@pytest.mark.parametrize("text", list(F2MAT_MALFORMED))
 def test_f2mat_malformed(text):
-    with pytest.raises(F2MatFormatError):
+    with pytest.raises(F2MatFormatError, match=f"^{re.escape(F2MAT_MALFORMED[text])}$"):
         BitMatrix.from_f2mat(text)
+
+
+def test_f2mat_empty_matrices():
+    assert BitMatrix.from_f2mat("f2mat 0 5\n") == BitMatrix(0, 5)
+    assert BitMatrix.from_f2mat("f2mat 3 0\n\n\n\n") == BitMatrix(3, 0)
+    # no row to check the width against, and none is allocated
+    assert BitMatrix.from_f2mat("f2mat 0 99999999999999999999\n").cols == 99999999999999999999

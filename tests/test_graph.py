@@ -76,6 +76,27 @@ def test_validation_large_graph_path():
         _assert_first_offence(bad)
 
 
+def test_validation_tiled_scan_order_600():
+    """Order 600 is not a multiple of the 256-wide tiles the scan compares."""
+    base = random_graph(random.Random(15), 600).adj
+
+    def flip(m, i, j):
+        return m.set_bit(i, j, 1 - m.get(i, j))
+
+    cases = [
+        flip(base, 255, 256),  # on a tile edge
+        flip(base, 256, 255),  # its mirror, below the diagonal
+        flip(base, 511, 512),
+        flip(base, 550, 590),  # in the last, partial tile
+        flip(base, 599, 3),
+        base.set_bit(599, 599),  # the last diagonal entry
+        # the later tile of a band holds the earlier row
+        flip(flip(base, 270, 300), 260, 590),
+    ]
+    for bad in cases:
+        _assert_first_offence(bad)
+
+
 def test_twin_free_examples():
     assert not is_twin_free(Graph.empty(2))  # two isolated vertices are twins
     assert is_twin_free(g2())
@@ -188,9 +209,10 @@ def test_graph6_manual_oracle():
 
 
 def test_graph6_against_networkx():
+    # every order to 140: both sides of the 62/63 size-field boundary and
+    # every residue of n(n-1)/2 mod 6, so every padding length
     rng = random.Random(13)
-    for _ in range(120):
-        n = rng.randrange(0, 75)
+    for n in range(141):
         g = random_graph(rng, n, rng.choice([0.1, 0.5, 0.9]))
         mine = to_graph6(g)
         gx = nx.Graph()
@@ -208,7 +230,20 @@ def test_graph6_round_trip_property(n, seed):
     assert from_graph6(to_graph6(g)) == g
 
 
-@pytest.mark.parametrize("text", ["", "C", "Cww", "C\x00", "~??"])
+_OUT_OF_RANGE = "character out of graph6 range"
+GRAPH6_MALFORMED = {
+    "": "empty graph6 string",
+    "C": "expected 1 data characters for n=4, got 0",
+    "Cww": "expected 1 data characters for n=4, got 2",
+    "C\x00": _OUT_OF_RANGE,
+    "~??": "truncated size field",
+    "C>": _OUT_OF_RANGE,  # just below '?'
+    "C\u00e9": _OUT_OF_RANGE,  # not ASCII
+    "C\x7f": _OUT_OF_RANGE,
+}
+
+
+@pytest.mark.parametrize("text", list(GRAPH6_MALFORMED))
 def test_graph6_malformed(text):
-    with pytest.raises(Graph6FormatError):
+    with pytest.raises(Graph6FormatError, match=f"^{GRAPH6_MALFORMED[text]}$"):
         from_graph6(text)

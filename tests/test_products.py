@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -72,11 +73,18 @@ def test_product_entry_semantics(n, nc, m, mc, seed):
     b = random_bitmatrix(rng, m, mc)
     par = parity_product(a, b)
     kro = kronecker(a, b)
-    for _ in range(12):
-        i, j = rng.randrange(n), rng.randrange(nc)
-        k, l = rng.randrange(m), rng.randrange(mc)
+    for i, j, k, l in itertools.product(range(n), range(nc), range(m), range(mc)):
         assert par.get(i * m + k, j * mc + l) == a.get(i, j) ^ b.get(k, l)
         assert kro.get(i * m + k, j * mc + l) == a.get(i, j) & b.get(k, l)
+
+
+def test_products_with_empty_operands():
+    b = random_bitmatrix(random.Random(26), 3, 2)
+    for a in (BitMatrix(0, 4), BitMatrix(2, 0), BitMatrix(0, 0)):
+        for left, right in ((a, b), (b, a)):
+            shape = (left.rows * right.rows, left.cols * right.cols)
+            assert parity_product(left, right) == BitMatrix(*shape)
+            assert kronecker(left, right) == BitMatrix(*shape)
 
 
 def test_parity_product_block_layout():
