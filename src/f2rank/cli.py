@@ -1,5 +1,5 @@
 """Command-line front end: construct, verify, rank, spectrum, search, iso,
-convert, bench.
+convert.
 
 Exit codes: 0 = pass, 1 = checks failed, 2 = usage or parse error.  All
 non-timing output is byte-deterministic for identical inputs and flags;
@@ -11,12 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
-import statistics
 import sys
 import time
 
-from .gf2 import BitMatrix, rank as matrix_rank
+from .gf2 import BitMatrix
 from .graph import Graph, Graph6FormatError, from_graph6, to_graph6
 from .constructions import (
     extremal_odd_plus_one,
@@ -35,7 +33,7 @@ from .verify import SrgParams, full_report
 
 SPECTRUM_VERTEX_CAP = 1024
 # a power of two: g2pow m <= 7, odd n <= 13, linegraph-k k <= 181;
-# construct g2pow 7 takes about 6 s and a 0.65 GB (f2mat) or 0.75 GB
+# construct g2pow 7 takes about 6 s and a 0.65 GB (f2mat) or 0.55 GB
 # (graph6) peak on a 2-CPU Xeon
 CONSTRUCT_ORDER_CAP = 1 << 14
 
@@ -174,27 +172,6 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    if args.op != "rank":
-        print(f"error: unknown bench op {args.op!r}", file=sys.stderr)
-        return 2
-    rng = random.Random(args.seed)
-    times = []
-    for _ in range(args.reps):
-        rows = [rng.getrandbits(args.size) for _ in range(args.size)]
-        m = BitMatrix(args.size, args.size, rows)
-        t0 = time.perf_counter()
-        r = matrix_rank(m)
-        times.append(time.perf_counter() - t0)
-    median = statistics.median(times)
-    cells = args.size * args.size
-    sys.stdout.write(
-        f"rank size={args.size} reps={args.reps} last_rank={r} "
-        f"median={median:.6f}s throughput={cells / median / 1e6:.1f} Mcell/s\n"
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="f2rank",
@@ -242,13 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out", nargs="?", default=None)
     p.add_argument("--format", required=True, choices=["f2mat", "graph6"])
     p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("bench", help="time an operation on random inputs")
-    p.add_argument("--op", required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -166,21 +166,19 @@ def line_graph(g: Graph) -> Graph:
     """Graph on the edges of g; two edges adjacent iff they share an endpoint.
 
     Vertices are the edges of g in lexicographic endpoint order (i < j).
+    inc[w] holds the edges at w, so inc[u] ^ inc[v] is every edge sharing
+    exactly one endpoint with (u, v): itself cancels, and in a simple
+    graph no other edge has both.
     """
     edges = g.edges()
     if not edges:
         raise ValueError("line graph needs at least one edge")
+    inc = [0] * g.order
+    for e, (u, v) in enumerate(edges):
+        inc[u] |= 1 << e
+        inc[v] |= 1 << e
     m = len(edges)
-    rows = [0] * m
-    for a in range(m):
-        ua, va = edges[a]
-        ea = {ua, va}
-        for b in range(a + 1, m):
-            ub, vb = edges[b]
-            if len(ea & {ub, vb}) == 1:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    return Graph(BitMatrix(m, m, rows))
+    return Graph(BitMatrix(m, m, [inc[u] ^ inc[v] for u, v in edges]))
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +203,14 @@ def to_graph6(g: Graph) -> str:
     in a symmetric matrix that is the strict lower triangle row by row.
     """
     n = g.order
-    bits = g.adj.to_bool_array()[np.tri(n, n, -1, dtype=bool)]
-    groups = np.append(bits, np.zeros(-bits.size % 6, dtype=np.uint8)).reshape(-1, 6)
-    body = (np.packbits(groups, axis=1).ravel() >> 2) + 63
+    arr = g.adj.to_bool_array()
+    n_bits = n * (n - 1) // 2
+    bits = np.zeros(n_bits + -n_bits % 6, dtype=bool)  # padded to 6-bit groups
+    start = 0
+    for i in range(n):
+        bits[start : start + i] = arr[i, :i]
+        start += i
+    body = (np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2) + 63
     return (_g6_size_bytes(n) + body.tobytes()).decode("ascii")
 
 
@@ -238,7 +241,10 @@ def from_graph6(text: str) -> Graph:
         )
     bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()[:n_bits]
     arr = np.zeros((n, n), dtype=np.uint8)
-    arr[np.tri(n, n, -1, dtype=bool)] = bits
+    start = 0
+    for i in range(n):
+        arr[i, :i] = bits[start : start + i]
+        start += i
     # mirror the lower triangle tile by tile, as in _first_offence
     for r0 in range(0, n, _TILE):
         for c0 in range(0, r0 + 1, _TILE):

@@ -172,6 +172,34 @@ def test_line_graph_examples():
         line_graph(Graph.empty(3))
 
 
+def _line_graph_pairwise(g: Graph) -> list[int]:
+    """Rows of L(g) from the definition: edges a != b are adjacent iff they
+    share exactly one endpoint."""
+    edges = g.edges()
+    return [
+        sum(1 << b for b, eb in enumerate(edges) if len(set(ea) & set(eb)) == 1)
+        for ea in edges
+    ]
+
+
+def test_line_graph_matches_pairwise_definition():
+    rng = random.Random(16)
+    for _ in range(40):
+        n = rng.randrange(2, 24)
+        g = random_graph(rng, n, rng.choice([0.05, 0.2, 0.5, 0.9]))
+        # isolated vertices at random positions
+        keep = [v for v in range(n) if rng.random() < 0.8]
+        g = Graph.from_edges(n, [(u, v) for u, v in g.edges() if u in keep and v in keep])
+        if g.edge_count() == 0:
+            with pytest.raises(ValueError, match="at least one edge"):
+                line_graph(g)
+            continue
+        assert line_graph(g).row_ints() == _line_graph_pairwise(g)
+    for n in (0, 1, 5):
+        with pytest.raises(ValueError, match="at least one edge"):
+            line_graph(Graph.empty(n))
+
+
 def test_line_graph_twin_free_for_min_degree_above_three():
     rng = random.Random(12)
     produced = 0

@@ -11,6 +11,7 @@ from f2rank.graph import Graph
 from f2rank.constructions import g2, g2_power, linegraph_clique_plus_isolated
 from f2rank.search import (
     N3_PAIRS,
+    _refine_colors,
     _rows_from_counter,
     _structured_matrix,
     enumerate_n2,
@@ -235,6 +236,66 @@ def test_isomorphic_rejects_cospectral_like_pairs():
     c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert isomorphic(c6, two_triangles)[0] is False
+
+
+def _isomorphic_recursive(g: Graph, h: Graph) -> tuple[bool, list[int] | None]:
+    """The search of `isomorphic` by recursion, with its refinement,
+    candidate order and consistency test; for pairs that pass its early
+    exits (equal orders, edge counts and color multisets)."""
+    n = g.order
+    colors_g, colors_h = _refine_colors(g, h)
+    by_color: dict[int, list[int]] = {}
+    for u in range(n):
+        by_color.setdefault(colors_h[u], []).append(u)
+    candidates = [by_color.get(colors_g[v], []) for v in range(n)]
+    order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
+    rows_g, rows_h = g.row_ints(), h.row_ints()
+    mapping = [-1] * n
+    used = [False] * n
+
+    def backtrack(depth: int) -> bool:
+        if depth == n:
+            return True
+        v = order[depth]
+        for u in candidates[v]:
+            if not used[u] and all(
+                ((rows_g[v] >> order[d]) & 1) == ((rows_h[u] >> mapping[order[d]]) & 1)
+                for d in range(depth)
+            ):
+                mapping[v], used[u] = u, True
+                if backtrack(depth + 1):
+                    return True
+                mapping[v], used[u] = -1, False
+        return False
+
+    return (True, mapping) if backtrack(0) else (False, None)
+
+
+def _circulant(n: int, steps) -> Graph:
+    return Graph.from_edges(n, [(i, (i + s) % n) for i in range(n) for s in steps])
+
+
+def test_isomorphic_matches_recursive_search():
+    # regular and strongly regular pairs, where refinement leaves one color
+    # class and the search must back up; same answers and same witnesses
+    rng = random.Random(44)
+    cube = Graph.from_edges(8, [(i, i ^ b) for i in range(8) for b in (1, 2, 4) if i < i ^ b])
+    # Frucht graph: cubic with no nontrivial automorphism, so a wrong
+    # image of the first vertex fails only after the search backs up to it
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    ring = [(i, (i + 1) % 12) for i in range(12)]
+    frucht = Graph.from_edges(12, ring + [(i, (i + d) % 12) for i, d in enumerate(lcf)])
+    pairs = [
+        (_circulant(6, [1]), Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+        (cube, _circulant(8, [1, 4])),
+        (_circulant(10, [1, 2]), _circulant(10, [1, 3])),
+        (g2_power(2), linegraph_clique_plus_isolated(6)),
+    ]
+    for g in (_circulant(9, [1]), _circulant(12, [1, 5]), cube, frucht, g2_power(2), g2_power(3)):
+        h = Graph(g.adj.conjugate(rng.sample(range(g.order), g.order)))
+        pairs += [(h, g), (g, h)] if g.order <= 16 else [(h, g)]
+    for g, h in pairs:
+        assert isomorphic(g, h) == _isomorphic_recursive(g, h)
 
 
 def test_isomorphic_equivalence_relation_on_pool():
