@@ -269,12 +269,15 @@ class BitMatrix:
         arr = self.to_bool_array()
         return BitMatrix.from_bool_array(arr[np.ix_(idx, idx)])
 
-    def to_bool_array(self) -> np.ndarray:
-        """Dense uint8 array with arr[i, j] = entry (i, j)."""
+    def _row_bytes(self) -> np.ndarray:
+        """uint8 array whose row i holds the little-endian bytes of row i."""
         n_bytes = (self.cols + 7) // 8
         data = b"".join(r.to_bytes(n_bytes, "little") for r in self._r)
-        buf = np.frombuffer(data, dtype=np.uint8).reshape(self.rows, n_bytes)
-        return np.unpackbits(buf, axis=1, count=self.cols, bitorder="little")
+        return np.frombuffer(data, dtype=np.uint8).reshape(self.rows, n_bytes)
+
+    def to_bool_array(self) -> np.ndarray:
+        """Dense uint8 array with arr[i, j] = entry (i, j)."""
+        return np.unpackbits(self._row_bytes(), axis=1, count=self.cols, bitorder="little")
 
     @classmethod
     def from_bool_array(cls, arr: np.ndarray) -> BitMatrix:
@@ -419,3 +422,60 @@ def subspace_basis(m: BitMatrix) -> list[int] | None:
 def rows_form_subspace(m: BitMatrix) -> bool:
     """True iff the rows list a linear subspace exactly once each."""
     return subspace_basis(m) is not None
+
+
+def _xor_rows(row_ints: Sequence[int], x: int) -> int:
+    """XOR of the rows selected by the set bits of x."""
+    acc = 0
+    for i, r in enumerate(row_ints):
+        if (x >> i) & 1:
+            acc ^= r
+    return acc
+
+
+def symplectic_coordinates(m: BitMatrix) -> np.ndarray | None:
+    """One packed code per row of a symmetric zero-diagonal m: the row's
+    coordinates in a symplectic basis, or None when subspace_basis(m) is None.
+
+    With P the first-appearance basis and k_i the coordinates of row i in
+    it, entry (i, j) is k_i^T M k_j where M = m[P, P], a nondegenerate
+    alternating form, and y_i = row i restricted to the columns P is
+    k_i^T M.  Symplectic Gram-Schmidt on M in a fixed order (the lowest
+    remaining vector u, the first remaining v with M(u, v) = 1, the rest
+    made orthogonal to both) gives pairs (u_a, v_a).  Code bit 2a is
+    y_i . v_a and bit 2a+1 is y_i . u_a, k_i's coordinates on u_a and v_a,
+    so entry (i, j) is the standard form sum_a c_i[2a] c_j[2a+1] +
+    c_i[2a+1] c_j[2a] of the codes, and the codes are a bijection onto
+    range(2^n).  Costs O(N n) after subspace_basis, plus O(n^3).
+    """
+    if m.rows != m.cols:
+        raise ValueError("symplectic coordinates need a square matrix")
+    basis = subspace_basis(m)
+    if basis is None:
+        return None
+    n = len(basis)
+    p = np.asarray(basis, dtype=np.intp)
+    y = ((m._row_bytes()[:, p >> 3] >> (p & 7)) & 1).astype(np.int64)
+    form = y[p]
+    if not np.array_equal(form, form.T) or form.diagonal().any():
+        raise ValueError("basis block is not an alternating form")
+    # vectors of GF(2)^n are n-bit integers; M(x, z) is the parity of x & Mz
+    form_rows = (form << np.arange(n)).sum(axis=1).tolist()
+    remaining = [1 << i for i in range(n)]
+    pairs = []  # v_0, u_0, v_1, u_1, ...
+    while remaining:
+        u = remaining.pop(0)
+        mu = _xor_rows(form_rows, u)
+        k = next((k for k, w in enumerate(remaining) if (w & mu).bit_count() & 1), None)
+        if k is None:
+            raise ValueError("basis block is a degenerate form")
+        v = remaining.pop(k)
+        mv = _xor_rows(form_rows, v)
+        # w + M(w, v) u + M(w, u) v is orthogonal to both u and v
+        remaining = [
+            w ^ (u if (w & mv).bit_count() & 1 else 0) ^ (v if (w & mu).bit_count() & 1 else 0)
+            for w in remaining
+        ]
+        pairs += [v, u]
+    columns = (np.array(pairs, dtype=np.int64) >> np.arange(n)[:, None]) & 1
+    return (y @ columns & 1) @ (1 << np.arange(n, dtype=np.int64))

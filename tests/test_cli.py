@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import random
+import signal
 import tempfile
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from f2rank.cli import main
 from f2rank.gf2 import BitMatrix
-from f2rank.graph import from_graph6
+from f2rank.graph import Graph, from_graph6
 from f2rank.constructions import g2_power, linegraph_clique_plus_isolated
 
 
@@ -145,8 +147,17 @@ def _graph6_like(n: int, body: str) -> bytes:
     return (chr(n + 63) + (body * want)[:want]).encode()
 
 
+def _graph_file(n: int, bits: int) -> bytes:
+    """A valid order-n graph as f2mat, edge k of the upper triangle set
+    when bit k of bits is."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [e for k, e in enumerate(pairs) if (bits >> k) & 1]
+    return Graph.from_edges(n, edges).adj.to_f2mat().encode()
+
+
 # at most 2 KB each, so no input asks for a large order
 _INPUT_FILES = st.one_of(
+    st.builds(_graph_file, st.integers(0, 24), st.integers(0, (1 << 276) - 1)),
     st.binary(max_size=2048),
     st.text(alphabet="f2mat 01-9\n\r?~Cw", max_size=300).map(str.encode),
     st.builds(
@@ -157,26 +168,35 @@ _INPUT_FILES = st.one_of(
     ),
     st.builds(_graph6_like, st.integers(0, 62), st.text(alphabet="?@_`~w", max_size=64)),
 )
+# "{}" is the random file; ORDER4 is a fixed order-4 family member
+_ORDER4 = "Cw"
 _FUZZED_COMMANDS = [
-    ["convert", "--format", "graph6"],
-    ["convert", "--format", "f2mat"],
-    ["rank"],
-    ["verify"],
+    ["convert", "{}", "--format", "graph6"],
+    ["convert", "{}", "--format", "f2mat"],
+    ["rank", "{}"],
+    ["verify", "{}"],
+    ["spectrum", "{}"],
+    ["iso", "{}", "{}"],
+    ["iso", "{}", _ORDER4],
+    ["iso", _ORDER4, "{}"],
 ]
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(_INPUT_FILES, st.sampled_from(_FUZZED_COMMANDS))
 def test_random_input_files_exit_cleanly(data, command):
-    fd, path = tempfile.mkstemp(suffix=".in")
-    try:
+    paths = {}
+    for name, content in (("{}", data), (_ORDER4, _ORDER4.encode())):
+        fd, paths[name] = tempfile.mkstemp(suffix=".in")
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.write(content)
+    try:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(command[:1] + [path] + command[1:])
+            code = main([paths.get(arg, arg) for arg in command])
     finally:
-        os.unlink(path)
+        for path in paths.values():
+            os.unlink(path)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:
@@ -264,6 +284,36 @@ def test_iso_command(tmp_path, capsys):
     c.write_text(g2_power(1).adj.to_f2mat())
     code, out, _ = run(capsys, "iso", str(a), str(c))
     assert code == 1 and json.loads(out)["isomorphic"] is False
+
+
+class _Deadline(Exception):
+    pass
+
+
+def test_iso_command_family_file_first(tmp_path, capsys):
+    # with the family member first, backtracking alone ran for minutes at
+    # order 256; the symplectic route answers within the budget
+    g = g2_power(4)
+    perm = random.Random(9).sample(range(g.order), g.order)
+    a = tmp_path / "a.f2m"
+    b = tmp_path / "b.f2m"
+    a.write_text(g.adj.to_f2mat())
+    b.write_text(g.adj.conjugate(perm).to_f2mat())
+
+    def expire(signum, frame):
+        raise _Deadline("iso took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        code, out, _ = run(capsys, "iso", str(a), str(b))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    assert sorted(witness) == list(range(256))
+    assert all(g.adj.get(i, j) == g.adj.get(perm[witness[i]], perm[witness[j]]) for i in range(256) for j in range(256))
 
 
 def test_iso_command_order_1024(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,11 +15,18 @@ from f2rank.gf2 import (
     rank_of_row_ints,
     row_space_contains,
     rows_form_subspace,
+    symplectic_coordinates,
 )
-from f2rank.constructions import complete_graph, g2, g2_power
-from f2rank.graph import line_graph
+from f2rank.constructions import (
+    complete_graph,
+    extremal_odd_plus_one,
+    g2,
+    g2_power,
+    linegraph_clique_plus_isolated,
+)
+from f2rank.graph import Graph, line_graph
 
-from conftest import random_bitmatrix, xor_combinations
+from conftest import random_bitmatrix, random_graph, xor_combinations
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +254,93 @@ def test_rows_form_subspace():
     row_set = set(rows)
     assert len(row_set) == len(rows) and 0 in row_set
     assert all(x ^ y in row_set for x in row_set for y in row_set)
+
+
+def _reference_codes(m: BitMatrix) -> list[int]:
+    """symplectic_coordinates by its definition, with no shortcut: the
+    greedy first-appearance basis, symplectic Gram-Schmidt on the basis
+    block with explicit vectors, and each row's coordinates found by
+    search, first in the row basis and then in the pairs (u_a, v_a)."""
+    rows = m.row_ints()
+    basis: list[int] = []
+    for i, r in enumerate(rows):
+        if r not in xor_combinations([rows[b] for b in basis]):
+            basis.append(i)
+    n = len(basis)
+    form = [[(rows[p] >> q) & 1 for q in basis] for p in basis]
+
+    def pair(x, z):
+        return sum(x[a] * form[a][b] * z[b] for a in range(n) for b in range(n)) % 2
+
+    remaining = [[int(a == b) for b in range(n)] for a in range(n)]
+    symplectic = []  # u_0, v_0, u_1, v_1, ...
+    while remaining:
+        u = remaining.pop(0)
+        v = remaining.pop(next(k for k, w in enumerate(remaining) if pair(u, w)))
+        remaining = [
+            [(w[t] + pair(w, v) * u[t] + pair(w, u) * v[t]) % 2 for t in range(n)]
+            for w in remaining
+        ]
+        symplectic += [u, v]
+
+    def combine(vectors, mask):
+        return [sum((mask >> k) & 1 and vec[t] for k, vec in enumerate(vectors)) % 2 for t in range(n)]
+
+    codes = []
+    for r in rows:
+        k = next(k for k in range(1 << n) if _combine([rows[b] for b in basis], k) == r)
+        coords = [(k >> t) & 1 for t in range(n)]
+        # bit 2a is the coefficient of u_a, bit 2a+1 that of v_a
+        codes.append(next(c for c in range(1 << n) if combine(symplectic, c) == coords))
+    return codes
+
+
+def _relabel(g: Graph, rng: random.Random) -> Graph:
+    return Graph(g.adj.conjugate(rng.sample(range(g.order), g.order)))
+
+
+def _family_inputs(rng: random.Random, max_m: int) -> list[Graph]:
+    out = [Graph(BitMatrix.zeros(1, 1)), linegraph_clique_plus_isolated(6)]
+    for m in range(1, max_m + 1):
+        out += [g2_power(m), _relabel(g2_power(m), rng), _relabel(g2_power(m), rng)]
+    return out
+
+
+def test_symplectic_coordinates_match_definition():
+    rng = random.Random(16)
+    for g in _family_inputs(rng, 3):
+        assert symplectic_coordinates(g.adj).tolist() == _reference_codes(g.adj)
+
+
+def test_symplectic_form_is_standard():
+    # in the symplectic basis every subspace adjacency is the standard form
+    # <c_i, J c_j>, J swapping the bits of each pair, so n is even
+    rng = random.Random(17)
+    for g in _family_inputs(rng, 5):
+        codes = symplectic_coordinates(g.adj)
+        n = g.order.bit_length() - 1
+        assert n % 2 == 0 and sorted(codes.tolist()) == list(range(g.order))
+        bits = (codes[:, None] >> np.arange(n)) & 1
+        u_part, v_part = bits[:, 0::2], bits[:, 1::2]
+        standard = (u_part @ v_part.T + v_part @ u_part.T) & 1
+        assert np.array_equal(standard, g.adj.to_bool_array())
+
+
+def test_symplectic_coordinates_none_off_subspaces():
+    rng = random.Random(18)
+    inputs = [complete_graph(4), extremal_odd_plus_one(3), Graph(BitMatrix.zeros(4, 4))]
+    inputs += [random_graph(rng, 16) for _ in range(5)]
+    for g in inputs:
+        assert not rows_form_subspace(g.adj)
+        assert symplectic_coordinates(g.adj) is None
+    assert symplectic_coordinates(BitMatrix(0, 0)) is None
+    with pytest.raises(ValueError):
+        symplectic_coordinates(BitMatrix.from_strings(["00", "10", "01", "11"]))
+    # rows that list a subspace but are not symmetric: the basis block is
+    # not alternating, or it is alternating and degenerate
+    for rows in (["00", "01"], ["00", "10"]):
+        with pytest.raises(ValueError):
+            symplectic_coordinates(BitMatrix.from_strings(rows))
 
 
 # ---------------------------------------------------------------------------

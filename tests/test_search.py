@@ -4,19 +4,27 @@ import multiprocessing
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from f2rank.gf2 import rank_of_row_ints
+from f2rank.gf2 import symplectic_coordinates
 from f2rank.graph import Graph
 from f2rank.constructions import g2, g2_power, linegraph_clique_plus_isolated
+from f2rank import search
 from f2rank.search import (
     N3_PAIRS,
+    N3_SPAN,
+    SweepStats,
+    _backtrack_isomorphism,
     _refine_colors,
     _rows_from_counter,
     _structured_matrix,
     enumerate_n2,
+    alternating_rank_histogram,
     isomorphic,
     n2_certificate,
+    n3_exhaustive_certificate,
     n3_structured_certificate,
     nonexistence_n3_structured,
     run_exhaustive_sweep,
@@ -200,6 +208,33 @@ def test_sweep_pool_size_bounded_by_chunks(monkeypatch):
     assert sizes == [4, 3]
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_alternating_rank_histogram_matches_closed_form(n):
+    assert alternating_rank_histogram(n) == alternating_rank_counts(n)
+
+
+def test_full_range_certificate_checks_histogram(monkeypatch):
+    exact = alternating_rank_histogram(8)
+    wrong = list(exact)
+    wrong[4] -= 1
+    wrong[6] += 1  # same total, no rank-3 candidate
+    histogram = {}
+
+    def fake_sweep(start, stop, workers):
+        return SweepStats(list(histogram["counts"]))
+
+    monkeypatch.setattr(search, "run_exhaustive_sweep", fake_sweep)
+    histogram["counts"] = exact
+    assert n3_exhaustive_certificate()["pass"] is True
+    histogram["counts"] = wrong
+    cert = n3_exhaustive_certificate()
+    assert cert["pass"] is False and cert["stats"]["rank3_total"] == 0
+    assert cert["candidates_examined"] == N3_SPAN
+    # a partial range is judged by its rank-3 count alone, as before
+    assert n3_exhaustive_certificate(start=0, stop=N3_SPAN - 1)["pass"] is True
+    assert n3_exhaustive_certificate(start=1)["pass"] is True
+
+
 # ---------------------------------------------------------------------------
 # isomorphism
 # ---------------------------------------------------------------------------
@@ -277,7 +312,9 @@ def _circulant(n: int, steps) -> Graph:
 
 def test_isomorphic_matches_recursive_search():
     # regular and strongly regular pairs, where refinement leaves one color
-    # class and the search must back up; same answers and same witnesses
+    # class and the search must back up; the backtracking search gives the
+    # same answers and witnesses, and isomorphic the same answers (family
+    # pairs take the symplectic route, whose witnesses differ)
     rng = random.Random(44)
     cube = Graph.from_edges(8, [(i, i ^ b) for i in range(8) for b in (1, 2, 4) if i < i ^ b])
     # Frucht graph: cubic with no nontrivial automorphism, so a wrong
@@ -295,7 +332,9 @@ def test_isomorphic_matches_recursive_search():
         h = Graph(g.adj.conjugate(rng.sample(range(g.order), g.order)))
         pairs += [(h, g), (g, h)] if g.order <= 16 else [(h, g)]
     for g, h in pairs:
-        assert isomorphic(g, h) == _isomorphic_recursive(g, h)
+        expected = _isomorphic_recursive(g, h)
+        assert _backtrack_isomorphism(g, h) == expected
+        assert isomorphic(g, h)[0] == expected[0]
 
 
 def test_isomorphic_equivalence_relation_on_pool():
@@ -317,3 +356,84 @@ def test_isomorphic_equivalence_relation_on_pool():
 def test_uniqueness_cross_check_order_16():
     ok, witness = isomorphic(linegraph_clique_plus_isolated(6), g2_power(2))
     assert ok and witness is not None
+
+
+def _relabel(g: Graph, rng: random.Random) -> Graph:
+    return Graph(g.adj.conjugate(rng.sample(range(g.order), g.order)))
+
+
+def _carries(g: Graph, h: Graph, witness) -> bool:
+    """True iff witness is a bijection v -> witness[v] carrying g onto h."""
+    w = np.asarray(witness, dtype=np.intp)
+    return sorted(witness) == list(range(g.order)) and np.array_equal(
+        g.adj.to_bool_array(), h.adj.to_bool_array()[np.ix_(w, w)]
+    )
+
+
+def test_isomorphic_family_relabelings(monkeypatch):
+    # family pairs take the symplectic route, never the refinement
+    def refuse(g, h):
+        raise AssertionError("family inputs must not reach color refinement")
+
+    monkeypatch.setattr(search, "_refine_colors", refuse)
+    rng = random.Random(45)
+    members = [g2_power(m) for m in range(1, 6)] + [linegraph_clique_plus_isolated(6)]
+    for g in members:
+        for _ in range(2):
+            h = _relabel(g, rng)
+            for a, b in ((g, h), (h, g), (h, _relabel(g, rng))):
+                ok, witness = isomorphic(a, b)
+                assert ok and _carries(a, b, witness)
+
+
+def test_isomorphic_identity_on_family_members():
+    rng = random.Random(46)
+    for g in (g2(), g2_power(3), _relabel(g2_power(3), rng), linegraph_clique_plus_isolated(6)):
+        assert isomorphic(g, g) == (True, list(range(g.order)))
+
+
+def _switched(g: Graph) -> Graph:
+    """g with edges ab, cd replaced by ac, bd: degrees and edge count kept."""
+    edges = set(g.edges())
+    for (a, b) in sorted(edges):
+        for (c, d) in sorted(edges):
+            if len({a, b, c, d}) == 4 and not {tuple(sorted(e)) for e in ((a, c), (b, d))} & edges:
+                new = (edges - {(a, b), (c, d)}) | {tuple(sorted((a, c))), tuple(sorted((b, d)))}
+                return Graph.from_edges(g.order, sorted(new))
+    raise AssertionError("no switch")
+
+
+def test_isomorphic_subspace_against_non_subspace():
+    rng = random.Random(47)
+    for g in (g2_power(2), _relabel(g2_power(2), rng), linegraph_clique_plus_isolated(6)):
+        others = [_switched(g)]
+        edges = sorted(g.edges())
+        non_edges = [(i, j) for i in range(16) for j in range(i + 1, 16) if (i, j) not in edges]
+        drop, add = rng.choice(edges), rng.choice(non_edges)
+        others.append(Graph.from_edges(16, [e for e in edges if e != drop] + [add]))
+        for other in others:
+            assert symplectic_coordinates(other.adj) is None
+            assert other.edge_count() == g.edge_count()
+            for a, b in ((g, other), (other, g)):
+                assert isomorphic(a, b) == (False, None)
+                assert _backtrack_isomorphism(a, b) == (False, None)
+
+
+def test_isomorphic_checks_every_witness(monkeypatch):
+    g = g2_power(2)
+    h = _relabel(g, random.Random(48))
+    real = symplectic_coordinates
+
+    def shifted(m):  # a bijection onto the codes that is not the form's
+        codes = real(m)
+        return codes if m is g.adj else (codes + 1) % len(codes)
+
+    monkeypatch.setattr(search, "symplectic_coordinates", shifted)
+    with pytest.raises(AssertionError):
+        isomorphic(g, h)
+    monkeypatch.setattr(search, "symplectic_coordinates", lambda m: None)
+    # a non-automorphism, and a map that preserves adjacency but is no bijection
+    for graph, wrong in ((g, [1, 0] + list(range(2, 16))), (Graph.empty(3), [0, 0, 0])):
+        monkeypatch.setattr(search, "_backtrack_isomorphism", lambda a, b, w=wrong: (True, w))
+        with pytest.raises(AssertionError):
+            isomorphic(graph, graph)
