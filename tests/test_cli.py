@@ -168,17 +168,18 @@ _INPUT_FILES = st.one_of(
     ),
     st.builds(_graph6_like, st.integers(0, 62), st.text(alphabet="?@_`~w", max_size=64)),
 )
-# "{}" is the random file; ORDER4 is a fixed order-4 family member
-_ORDER4 = "Cw"
+# _FILE stands for the random file, _ORDER4 for a file holding the order-4
+# family member (graph6 "Cw")
+_FILE, _ORDER4 = "<file>", "Cw"
 _FUZZED_COMMANDS = [
-    ["convert", "{}", "--format", "graph6"],
-    ["convert", "{}", "--format", "f2mat"],
-    ["rank", "{}"],
-    ["verify", "{}"],
-    ["spectrum", "{}"],
-    ["iso", "{}", "{}"],
-    ["iso", "{}", _ORDER4],
-    ["iso", _ORDER4, "{}"],
+    ["convert", _FILE, "--format", "graph6"],
+    ["convert", _FILE, "--format", "f2mat"],
+    ["rank", _FILE],
+    ["verify", _FILE],
+    ["spectrum", _FILE],
+    ["iso", _FILE, _FILE],
+    ["iso", _FILE, _ORDER4],
+    ["iso", _ORDER4, _FILE],
 ]
 
 
@@ -186,7 +187,7 @@ _FUZZED_COMMANDS = [
 @given(_INPUT_FILES, st.sampled_from(_FUZZED_COMMANDS))
 def test_random_input_files_exit_cleanly(data, command):
     paths = {}
-    for name, content in (("{}", data), (_ORDER4, _ORDER4.encode())):
+    for name, content in ((_FILE, data), (_ORDER4, _ORDER4.encode())):
         fd, paths[name] = tempfile.mkstemp(suffix=".in")
         with os.fdopen(fd, "wb") as fh:
             fh.write(content)
@@ -313,7 +314,11 @@ def test_iso_command_family_file_first(tmp_path, capsys):
     assert code == 0
     witness = json.loads(out)["witness"]
     assert sorted(witness) == list(range(256))
-    assert all(g.adj.get(i, j) == g.adj.get(perm[witness[i]], perm[witness[j]]) for i in range(256) for j in range(256))
+    assert all(
+        g.adj.get(i, j) == g.adj.get(perm[witness[i]], perm[witness[j]])
+        for i in range(256)
+        for j in range(256)
+    )
 
 
 def test_iso_command_order_1024(tmp_path, capsys):

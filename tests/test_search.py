@@ -7,8 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from f2rank.gf2 import rank_of_row_ints
-from f2rank.gf2 import symplectic_coordinates
+from f2rank.gf2 import rank_of_row_ints, symplectic_coordinates
 from f2rank.graph import Graph
 from f2rank.constructions import g2, g2_power, linegraph_clique_plus_isolated
 from f2rank import search
@@ -20,8 +19,8 @@ from f2rank.search import (
     _refine_colors,
     _rows_from_counter,
     _structured_matrix,
-    enumerate_n2,
     alternating_rank_histogram,
+    enumerate_n2,
     isomorphic,
     n2_certificate,
     n3_exhaustive_certificate,
@@ -214,25 +213,21 @@ def test_alternating_rank_histogram_matches_closed_form(n):
 
 
 def test_full_range_certificate_checks_histogram(monkeypatch):
+    def certificate(counts, **bounds):
+        monkeypatch.setattr(search, "run_exhaustive_sweep", lambda start, stop, workers: SweepStats(list(counts)))
+        return n3_exhaustive_certificate(**bounds)
+
     exact = alternating_rank_histogram(8)
     wrong = list(exact)
     wrong[4] -= 1
     wrong[6] += 1  # same total, no rank-3 candidate
-    histogram = {}
-
-    def fake_sweep(start, stop, workers):
-        return SweepStats(list(histogram["counts"]))
-
-    monkeypatch.setattr(search, "run_exhaustive_sweep", fake_sweep)
-    histogram["counts"] = exact
-    assert n3_exhaustive_certificate()["pass"] is True
-    histogram["counts"] = wrong
-    cert = n3_exhaustive_certificate()
+    assert certificate(exact)["pass"] is True
+    cert = certificate(wrong)
     assert cert["pass"] is False and cert["stats"]["rank3_total"] == 0
     assert cert["candidates_examined"] == N3_SPAN
     # a partial range is judged by its rank-3 count alone, as before
-    assert n3_exhaustive_certificate(start=0, stop=N3_SPAN - 1)["pass"] is True
-    assert n3_exhaustive_certificate(start=1)["pass"] is True
+    assert certificate(wrong, stop=N3_SPAN - 1)["pass"] is True
+    assert certificate(wrong, start=1)["pass"] is True
 
 
 # ---------------------------------------------------------------------------
