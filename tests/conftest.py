@@ -17,6 +17,11 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def relabel(g: Graph, rng: random.Random) -> Graph:
+    """g under a seeded random relabelling of its vertices."""
+    return Graph(g.adj.conjugate(rng.sample(range(g.order), g.order)))
+
+
 def xor_combinations(rows: list[int]) -> set[int]:
     """All 2^len(rows) XOR combinations, enumerated explicitly."""
     out = set()

@@ -26,7 +26,7 @@ from f2rank.constructions import (
 )
 from f2rank.graph import Graph, line_graph
 
-from conftest import random_bitmatrix, random_graph, xor_combinations
+from conftest import random_bitmatrix, random_graph, relabel, xor_combinations
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +295,10 @@ def _reference_codes(m: BitMatrix) -> list[int]:
     return codes
 
 
-def _relabel(g: Graph, rng: random.Random) -> Graph:
-    return Graph(g.adj.conjugate(rng.sample(range(g.order), g.order)))
-
-
 def _family_inputs(rng: random.Random, max_m: int) -> list[Graph]:
     out = [Graph(BitMatrix.zeros(1, 1)), linegraph_clique_plus_isolated(6)]
     for m in range(1, max_m + 1):
-        out += [g2_power(m), _relabel(g2_power(m), rng), _relabel(g2_power(m), rng)]
+        out += [g2_power(m), relabel(g2_power(m), rng), relabel(g2_power(m), rng)]
     return out
 
 

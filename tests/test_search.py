@@ -32,7 +32,7 @@ from f2rank.search import (
 )
 from f2rank.verify import full_report
 
-from conftest import alternating_rank_counts, random_graph
+from conftest import alternating_rank_counts, random_graph, relabel
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +353,6 @@ def test_uniqueness_cross_check_order_16():
     assert ok and witness is not None
 
 
-def _relabel(g: Graph, rng: random.Random) -> Graph:
-    return Graph(g.adj.conjugate(rng.sample(range(g.order), g.order)))
-
-
 def _carries(g: Graph, h: Graph, witness) -> bool:
     """True iff witness is a bijection v -> witness[v] carrying g onto h."""
     w = np.asarray(witness, dtype=np.intp)
@@ -375,15 +371,15 @@ def test_isomorphic_family_relabelings(monkeypatch):
     members = [g2_power(m) for m in range(1, 6)] + [linegraph_clique_plus_isolated(6)]
     for g in members:
         for _ in range(2):
-            h = _relabel(g, rng)
-            for a, b in ((g, h), (h, g), (h, _relabel(g, rng))):
+            h = relabel(g, rng)
+            for a, b in ((g, h), (h, g), (h, relabel(g, rng))):
                 ok, witness = isomorphic(a, b)
                 assert ok and _carries(a, b, witness)
 
 
 def test_isomorphic_identity_on_family_members():
     rng = random.Random(46)
-    for g in (g2(), g2_power(3), _relabel(g2_power(3), rng), linegraph_clique_plus_isolated(6)):
+    for g in (g2(), g2_power(3), relabel(g2_power(3), rng), linegraph_clique_plus_isolated(6)):
         assert isomorphic(g, g) == (True, list(range(g.order)))
 
 
@@ -400,7 +396,7 @@ def _switched(g: Graph) -> Graph:
 
 def test_isomorphic_subspace_against_non_subspace():
     rng = random.Random(47)
-    for g in (g2_power(2), _relabel(g2_power(2), rng), linegraph_clique_plus_isolated(6)):
+    for g in (g2_power(2), relabel(g2_power(2), rng), linegraph_clique_plus_isolated(6)):
         others = [_switched(g)]
         edges = sorted(g.edges())
         non_edges = [(i, j) for i in range(16) for j in range(i + 1, 16) if (i, j) not in edges]
@@ -416,7 +412,7 @@ def test_isomorphic_subspace_against_non_subspace():
 
 def test_isomorphic_checks_every_witness(monkeypatch):
     g = g2_power(2)
-    h = _relabel(g, random.Random(48))
+    h = relabel(g, random.Random(48))
     real = symplectic_coordinates
 
     def shifted(m):  # a bijection onto the codes that is not the form's
