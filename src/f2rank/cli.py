@@ -45,6 +45,17 @@ def _default_workers() -> int:
         return 1
 
 
+def _worker_count(text: str) -> int:
+    """A --workers value: 0 (F2RANK_THREADS) or a positive count."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 (F2RANK_THREADS) or more, got {value}")
+    return value
+
+
 def _load_graph(path: str) -> tuple[Graph, str]:
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
@@ -172,8 +183,15 @@ def cmd_convert(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one 'error:' line and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="f2rank",
         description="Exact toolkit for twin-free graphs of minimal GF(2)-rank",
     )
@@ -204,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", required=True, choices=["n2-unique", "n3-structured", "n3-exhaustive"]
     )
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", type=_worker_count, default=0)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--stop", type=int, default=None)
     p.set_defaults(func=cmd_search)

@@ -22,6 +22,14 @@ def _mask(n: int) -> int:
     return (1 << n) - 1
 
 
+def _pack_rows(row_ints: Sequence[int], cols: int) -> np.ndarray:
+    """Writable (len(row_ints), ceil(cols / 8)) uint8 array whose row i
+    holds the little-endian bytes of row_ints[i]."""
+    n_bytes = (cols + 7) // 8
+    data = bytearray().join(r.to_bytes(n_bytes, "little") for r in row_ints)
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(row_ints), n_bytes)
+
+
 class BitVector:
     """A length-n vector over GF(2), packed into one integer."""
 
@@ -271,9 +279,7 @@ class BitMatrix:
 
     def _row_bytes(self) -> np.ndarray:
         """uint8 array whose row i holds the little-endian bytes of row i."""
-        n_bytes = (self.cols + 7) // 8
-        data = b"".join(r.to_bytes(n_bytes, "little") for r in self._r)
-        return np.frombuffer(data, dtype=np.uint8).reshape(self.rows, n_bytes)
+        return _pack_rows(self._r, self.cols)
 
     def to_bool_array(self) -> np.ndarray:
         """Dense uint8 array with arr[i, j] = entry (i, j)."""
@@ -387,12 +393,77 @@ def echelon(row_ints: Iterable[int]) -> tuple[dict[int, int], list[int]]:
     return pivots, independent
 
 
-def rank_of_row_ints(row_ints: Sequence[int], cols: int) -> int:
-    """GF(2) rank of packed rows of width cols: the pivot count of their echelon.
+# row count from which rank_of_row_ints runs _byte_rank rather than echelon;
+# full-rank square inputs cross over between 320 and 384 rows on a 2-CPU Xeon
+BYTE_RANK_MIN_ROWS = 384
 
-    Pivots are keyed by leading bit, so the width itself is not needed.
+
+def _byte_rank(packed: np.ndarray) -> int:
+    """GF(2) rank of a writable (rows, bytes) uint8 array of little-endian
+    row bytes, by the Method of Four Russians one byte column at a time.
+    Destroys its input.
+
+    For byte column j the rows r.. not yet pivots are zero in every byte
+    before j.  Up to 8 of them whose byte j values are independent, chosen
+    by an echelon of the distinct values in first-appearance order, are
+    swapped to r..r+k-1; every later row then gets the combination of
+    them whose byte j equals its own, read from a table of all 2^k
+    combinations, which clears byte j.  Each update adds pivot rows to a
+    non-pivot row, so the rank is the number of rows chosen.  A column
+    that is zero in rows r.. is skipped, and the pass ends once those
+    rows are zero in every later byte too.
     """
-    return len(echelon(row_ints)[1])
+    m = packed
+    rows, n_bytes = m.shape
+    r = 0
+    for j in range(n_bytes):
+        if r == rows:
+            break
+        if not m[r:, j].any():
+            if not m[r:, j + 1 :].any():
+                break
+            continue
+        values, first = np.unique(m[r:, j], return_index=True)
+        pivots: dict[int, int] = {}
+        chosen = []
+        for i in np.argsort(first).tolist():
+            v = _reduce(pivots, int(values[i]))
+            if v:
+                pivots[v.bit_length() - 1] = v
+                chosen.append(r + int(first[i]))
+                if len(chosen) == 8:
+                    break
+        # the chosen rows move to r..r+k-1 and the rows there move to the
+        # places the chosen ones left, in one gather
+        k = len(chosen)
+        slots = range(r, r + k)
+        vacated = [c for c in chosen if c >= r + k]
+        displaced = [s for s in slots if s not in chosen]
+        m[[*slots, *vacated], j:] = m[[*chosen, *displaced], j:]
+        table = np.zeros((1 << k, n_bytes - j), dtype=np.uint8)
+        for t in range(k):
+            np.bitwise_xor(table[: 1 << t], m[r + t, j:], out=table[1 << t : 2 << t])
+        # values outside the span index past the table and raise
+        lookup = np.full(256, 256, dtype=np.intp)
+        lookup[table[:, 0]] = np.arange(1 << k)
+        r += k
+        m[r:, j:] ^= table[lookup[m[r:, j]]]
+    return r
+
+
+def rank_of_row_ints(row_ints: Sequence[int], cols: int) -> int:
+    """GF(2) rank of packed rows of width cols.
+
+    Fewer than BYTE_RANK_MIN_ROWS rows go through echelon; from that many
+    on, the rows are packed into ceil(cols / 8) bytes each and ranked by
+    _byte_rank.  Raises ValueError if a row is negative or has a bit at or
+    above cols.
+    """
+    if any(r >> cols for r in row_ints):
+        raise ValueError("row bits outside declared width")
+    if len(row_ints) < BYTE_RANK_MIN_ROWS:
+        return len(echelon(row_ints)[1])
+    return _byte_rank(_pack_rows(row_ints, cols))
 
 
 def rank(m: BitMatrix) -> int:

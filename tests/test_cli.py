@@ -11,10 +11,14 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from f2rank import search
 from f2rank.cli import main
 from f2rank.gf2 import BitMatrix
 from f2rank.graph import Graph, from_graph6
 from f2rank.constructions import g2_power, linegraph_clique_plus_isolated
+from f2rank.search import N3_SPAN
+
+from conftest import relabel
 
 
 def run(capsys, *argv):
@@ -183,19 +187,46 @@ _FUZZED_COMMANDS = [
 ]
 
 
-@settings(max_examples=160, deadline=None)
-@given(_INPUT_FILES, st.sampled_from(_FUZZED_COMMANDS))
+def _sweep_command(start: int, width: int, workers: int) -> list[str]:
+    return [
+        "search", "--mode", "n3-exhaustive",
+        "--start", str(start), "--stop", str(start + width), "--workers", str(workers),
+    ]
+
+
+# ranges at most 4096 wide, so one chunk each and never a pool; near 0 and
+# near N3_SPAN, empty, reversed and out of bounds included
+_SWEEP_COMMANDS = st.builds(
+    _sweep_command,
+    st.one_of(st.integers(-2, 8192), st.integers(N3_SPAN - 4096, N3_SPAN + 2)),
+    st.integers(-2, 4096),
+    st.integers(-2, 1),
+)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_INPUT_FILES, st.one_of(st.sampled_from(_FUZZED_COMMANDS), _SWEEP_COMMANDS))
 def test_random_input_files_exit_cleanly(data, command):
     paths = {}
     for name, content in ((_FILE, data), (_ORDER4, _ORDER4.encode())):
         fd, paths[name] = tempfile.mkstemp(suffix=".in")
         with os.fdopen(fd, "wb") as fh:
             fh.write(content)
+    pool = search.multiprocessing.Pool
+    search.multiprocessing.Pool = _no_pool
     try:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([paths.get(arg, arg) for arg in command])
+            try:
+                code = main([paths.get(arg, arg) for arg in command])
+            except SystemExit as exc:  # an argparse usage error
+                code = exc.code
     finally:
+        search.multiprocessing.Pool = pool
         for path in paths.values():
             os.unlink(path)
     assert code in (0, 1, 2)
@@ -211,6 +242,14 @@ def test_rank_command(tmp_path, capsys):
     path.write_text(linegraph_clique_plus_isolated(6).adj.to_f2mat())
     code, out, _ = run(capsys, "rank", str(path))
     assert code == 0 and out == "4\n"
+
+
+def test_rank_command_relabelled_member(tmp_path, capsys):
+    # order 1024: the byte-column kernel's side of the switch
+    path = tmp_path / "g32.f2m"
+    path.write_text(relabel(g2_power(5), random.Random(9)).adj.to_f2mat())
+    code, out, _ = run(capsys, "rank", str(path))
+    assert code == 0 and out == "10\n"
 
 
 def test_spectrum_command(tmp_path, capsys):
@@ -263,6 +302,15 @@ def test_search_range_errors(capsys):
     ):
         code, out, err = run(capsys, "search", "--mode", "n3-exhaustive", *bounds)
         assert code == 2 and out == "" and err.startswith("error: sweep range")
+
+
+def test_search_negative_workers(capsys):
+    for workers in ("-1", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--mode", "n3-exhaustive", "--stop", "64", "--workers", workers])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err == f"error: argument --workers: must be 0 (F2RANK_THREADS) or more, got {workers}\n"
 
 
 def test_search_workers_env(capsys, monkeypatch):

@@ -5,12 +5,17 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from f2rank import gf2
 from f2rank.gf2 import (
+    BYTE_RANK_MIN_ROWS,
     BitMatrix,
     BitVector,
     F2MatFormatError,
+    _byte_rank,
+    _pack_rows,
+    echelon,
     rank,
     rank_of_row_ints,
     row_space_contains,
@@ -163,25 +168,101 @@ def test_rank_invariances():
         assert rank_of_row_ints(added, n) == r
 
 
-def _mixed_identity(rng: random.Random, n: int, r: int) -> list[int]:
-    """An n x n matrix of rank r: an r-row identity block (the other rows
-    zero) mixed by random row additions and random column additions."""
+def _mixed_identity(rng: random.Random, n: int, r: int, cols: int | None = None) -> list[int]:
+    """An n x cols (default n x n) matrix of rank r: an r-row identity
+    block (the other rows zero) mixed by random row additions and random
+    column additions."""
+    cols = n if cols is None else cols
     rows = [1 << i for i in range(r)] + [0] * (n - r)
-    for _ in range(2 * n):
+    for _ in range(2 * max(n, cols)):
         a, b = rng.sample(range(n), 2)
         rows[a] ^= rows[b]
-        a, b = rng.sample(range(n), 2)
+        a, b = rng.sample(range(cols), 2)
         rows = [x ^ (((x >> b) & 1) << a) for x in rows]
     rng.shuffle(rows)
     return rows
 
 
+# (rows, cols, rank) on both sides of BYTE_RANK_MIN_ROWS, widths that are
+# not whole bytes included
+_KNOWN_RANKS = (
+    (256, 256, 0),
+    (256, 256, 1),
+    (256, 256, 255),
+    (256, 256, 256),
+    (300, 300, 137),
+    (383, 383, 383),
+    (384, 384, 0),
+    (384, 384, 1),
+    (384, 384, 384),
+    (400, 300, 299),
+    (512, 512, 500),
+    (513, 513, 513),
+    (513, 1000, 10),
+    (1000, 1000, 997),
+    (1000, 513, 513),
+)
+
+
 def test_rank_known_rank_large():
     rng = random.Random(12)
-    for n, r in ((256, 0), (256, 1), (256, 255), (256, 256), (300, 137), (512, 500)):
-        rows = _mixed_identity(rng, n, r)
-        assert rank_of_row_ints(rows, n) == r
-        assert rank(BitMatrix(n, n, rows)) == r
+    for n, cols, r in _KNOWN_RANKS:
+        rows = _mixed_identity(rng, n, r, cols)
+        assert rank_of_row_ints(rows, cols) == r
+        assert rank(BitMatrix(n, cols, rows)) == r
+
+
+def test_rank_routes_by_row_count(monkeypatch):
+    def no_echelon(row_ints):
+        raise AssertionError("echelon called")
+
+    rng = random.Random(13)
+    below = _mixed_identity(rng, BYTE_RANK_MIN_ROWS - 1, 5)
+    monkeypatch.setattr(gf2, "echelon", no_echelon)
+    for n, cols, r in _KNOWN_RANKS:
+        if n >= BYTE_RANK_MIN_ROWS:
+            assert rank_of_row_ints(_mixed_identity(rng, n, r, cols), cols) == r
+    with pytest.raises(AssertionError, match="echelon called"):
+        rank_of_row_ints(below, BYTE_RANK_MIN_ROWS - 1)
+
+
+@pytest.mark.parametrize("n", [3, BYTE_RANK_MIN_ROWS])
+def test_rank_rejects_bits_outside_width(n):
+    for bad in (1 << 9, -1):
+        rows = [0] * (n - 1) + [bad]
+        with pytest.raises(ValueError, match="outside declared width"):
+            rank_of_row_ints(rows, 9)
+    assert rank_of_row_ints([0] * (n - 1) + [1 << 8], 9) == 1
+
+
+def _rank_input(rnd: random.Random, rows: int, cols: int, kind: str) -> list[int]:
+    if kind == "random":
+        return [rnd.getrandbits(cols) for _ in range(rows)]
+    if kind == "sparse":  # at most two set bits a row, zero rows likely
+        return [
+            sum({1 << rnd.randrange(cols) for _ in range(rnd.randrange(3))}) if cols else 0
+            for _ in range(rows)
+        ]
+    if kind == "duplicates":  # rows drawn from a few
+        pool = [rnd.getrandbits(cols) for _ in range(rnd.randrange(1, 6))]
+        return [rnd.choice(pool) for _ in range(rows)]
+    # low rank: combinations of a few random rows
+    basis = [rnd.getrandbits(cols) for _ in range(rnd.randrange(6))]
+    return [_combine(basis, rnd.getrandbits(len(basis))) for _ in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 80),
+    st.integers(0, 80),
+    st.sampled_from(["random", "sparse", "duplicates", "low_rank"]),
+    st.randoms(use_true_random=False),
+)
+def test_byte_rank_matches_echelon(rows, cols, kind, rnd):
+    row_ints = _rank_input(rnd, rows, cols, kind)
+    packed = _pack_rows(row_ints, cols)
+    assert packed.shape == (rows, (cols + 7) // 8)
+    assert _byte_rank(packed) == len(echelon(row_ints)[1])
 
 
 # ---------------------------------------------------------------------------
