@@ -142,41 +142,67 @@ def _gram(g: Graph) -> _Gram:
     return _Gram(adj, gram, np.diag(gram).astype(np.int64))
 
 
-def _row_blocks(m: int):
-    """Blocks of row positions 0..m-1, each with its strict-upper-triangle mask."""
-    cols = np.arange(m)
-    for lo in range(0, m, BLOCK_ROWS):
-        rows = cols[lo : lo + BLOCK_ROWS]
-        yield rows, cols > rows[:, None]
+@dataclass(frozen=True)
+class _Scan:
+    hadamard: bool  # S = J - 2A satisfies S S^T = order * I
+    # hist[a, x] counts the ordered pairs i != j of core vertices with
+    # A_ij = a and G_ij = x
+    hist: np.ndarray
+
+
+def _scan(k: _Gram, core: np.ndarray) -> _Scan:
+    """The Hadamard verdict and the co-degree histogram from one pass over G.
+
+    (S S^T)_ij = N - 2 d_i - 2 d_j + 4 G_ij, which is N on the diagonal
+    for every A, so only the off-diagonal entries are tested.  Every term
+    and partial sum is a multiple of 1/2 of magnitude below 6N, which
+    float32 holds exactly for orders below 2^20.  G and A are symmetric,
+    so the pass reads the upper triangle only: each block of BLOCK_ROWS
+    rows from its diagonal on, with the diagonal and the entries below it
+    sent to a sentinel bin.  The pairs that meet a vertex outside core
+    have A_ij = G_ij = 0, since core may only drop isolated vertices; they
+    are taken out of hist[0, 0].
+    """
+    n = len(k.degrees)
+    h = (2 * k.degrees - n / 2).astype(np.float32)  # 4 G_ij = h_i + h_j
+    width = np.float32(n + 1)  # a key is G_ij + width * A_ij
+    sentinel = 2 * (n + 1)
+    lower = np.tri(BLOCK_ROWS, dtype=bool)  # the diagonal and below it
+    hadamard = True
+    counts = np.zeros(sentinel + 1, dtype=np.int64)
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        gram = k.gram[lo:hi, lo:]
+        below = lower[: hi - lo, : hi - lo]
+        if hadamard:
+            off = 4 * gram - h[lo:hi, None] != h[lo:]
+            off[:, : hi - lo][below] = False
+            hadamard = not off.any()
+        key = k.adj[lo:hi, lo:] * width
+        key += gram
+        key[:, : hi - lo][below] = sentinel
+        counts += np.bincount(key.astype(np.intp).ravel(), minlength=counts.size)
+    hist = 2 * counts[:sentinel].reshape(2, n + 1)
+    v = core.size
+    hist[0, 0] -= n * (n - 1) - v * (v - 1)
+    return _Scan(hadamard, hist)
 
 
 def _first_pair(m: int, bad) -> tuple[int, int] | None:
     """First pair a < b < m in row-major order at which bad holds.
 
     bad(rows) maps a block of row positions to a len(rows) x m boolean
-    array; only its strict upper triangle is read.
+    array; only its strict upper triangle is read.  This row-major search
+    only names witnesses, once the scan has found that a check fails.
     """
-    for rows, upper in _row_blocks(m):
-        hit = bad(rows) & upper
+    cols = np.arange(m)
+    for lo in range(0, m, BLOCK_ROWS):
+        rows = cols[lo : lo + BLOCK_ROWS]
+        hit = bad(rows) & (cols > rows[:, None])
         if hit.any():
             a, b = divmod(int(hit.argmax()), m)
             return int(rows[a]), b
     return None
-
-
-def _is_hadamard(k: _Gram) -> bool:
-    """S = J - 2A satisfies S S^T = order * I.
-
-    (S S^T)_ij = N - 2 d_i - 2 d_j + 4 G_ij, which is N on the diagonal
-    for every A, so only the off-diagonal entries are tested.
-    """
-    n = len(k.degrees)
-    d2 = 2 * k.degrees
-
-    def nonzero_entry(rows):
-        return 4 * k.gram[rows].astype(np.int64) != d2[rows, None] + d2 - n
-
-    return _first_pair(n, nonzero_entry) is None
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +224,31 @@ def _balanced_rows_witness(k: _Gram) -> tuple[int, int] | None:
 
 def check_pairwise_quarters(g: Graph) -> bool:
     """All four support intersections of distinct nonzero rows have size order/4."""
-    return _pairwise_quarters_witness(_gram(g)) is None
+    k = _gram(g)
+    return _pairwise_quarters_witness(k, _scan(k, np.flatnonzero(k.degrees))) is None
 
 
-def _pairwise_quarters_witness(k: _Gram) -> tuple[int, int] | None:
+def _pairwise_quarters_witness(k: _Gram, scan: _Scan) -> tuple[int, int] | None:
+    """First pair of nonzero rows that breaks the order/4 pattern.
+
+    scan covers the nonzero rows.  The four intersection sizes are
+    determined by |x|, |y|, |x&y|; all are order/4 iff d_i = d_j = order/2
+    and G_ij = order/4, so the check passes when every nonzero degree is
+    order/2 and every co-degree order/4.
+    """
+    quarter, rem = divmod(len(k.degrees), 4)
+    on_quarter = 0 if rem else scan.hist[:, quarter].sum()
+    if scan.hist.sum() == on_quarter and (k.degrees[k.degrees > 0] == 2 * quarter).all():
+        return None
+    return _quarters_row_major(k)
+
+
+def _quarters_row_major(k: _Gram) -> tuple[int, int] | None:
     quarter, rem = divmod(len(k.degrees), 4)
     nz = np.flatnonzero(k.degrees)
     if rem:  # no pair can meet the pattern
         pair = (0, 1) if nz.size >= 2 else None
     else:
-        # the four intersection sizes are determined by |x|, |y|, |x&y|; all
-        # are order/4 iff d_i = d_j = order/2 and G_ij = order/4
         half = k.degrees[nz] == 2 * quarter
         pair = _first_pair(
             nz.size,
@@ -219,11 +259,28 @@ def _pairwise_quarters_witness(k: _Gram) -> tuple[int, int] | None:
 
 def srg_parameters(g: Graph) -> SrgParams | SrgViolation:
     """Exact [v, k, lambda, mu] if strongly regular, else a witness pair."""
-    return _srg_parameters(_gram(g), np.arange(g.order))
+    k = _gram(g)
+    core = np.arange(g.order)
+    return _srg_parameters(k, core, _scan(k, core))
 
 
-def _srg_parameters(k: _Gram, core: np.ndarray) -> SrgParams | SrgViolation:
+def _srg_parameters(k: _Gram, core: np.ndarray, scan: _Scan) -> SrgParams | SrgViolation:
     """srg_parameters of the subgraph induced on the ascending vertex list core.
+
+    scan covers core.  A regular graph is strongly regular iff each kind
+    of pair, adjacent and non-adjacent, shows at most one co-degree; a
+    kind with no pairs leaves its parameter None.
+    """
+    deg = k.degrees[core]
+    kinds = [np.flatnonzero(scan.hist[a]) for a in (1, 0)]
+    if core.size and (deg == deg[0]).all() and all(x.size <= 1 for x in kinds):
+        lam, mu = (int(x[0]) if x.size else None for x in kinds)
+        return SrgParams(core.size, int(deg[0]), lam, mu)
+    return _srg_row_major(k, core)
+
+
+def _srg_row_major(k: _Gram, core: np.ndarray) -> SrgParams | SrgViolation:
+    """_srg_parameters by a row-major search, which names the first violation.
 
     Witnesses are positions in core.  Co-degrees are read from G, so core
     may only drop isolated vertices, which are nobody's common neighbour.
@@ -264,27 +321,26 @@ def quasirandom_deviation(g: Graph) -> float:
     The sum runs over ordered pairs of distinct vertices and the density
     is p = 2e / (v(v-1)), both computed from the graph itself.
     """
-    return _quasirandom_deviation(_gram(g), np.arange(g.order))
+    k = _gram(g)
+    core = np.arange(g.order)
+    return _quasirandom_deviation(k, core, _scan(k, core))
 
 
-def _quasirandom_deviation(k: _Gram, core: np.ndarray) -> float:
-    """quasirandom_deviation of the subgraph induced on core (see _srg_parameters).
+def _quasirandom_deviation(k: _Gram, core: np.ndarray, scan: _Scan) -> float:
+    """quasirandom_deviation of the subgraph induced on core, which scan covers.
 
-    The sum is taken exactly, in integers, over a histogram of the
-    co-degrees and rounded to float once.
+    The sum is taken exactly, in integers, over the co-degree histogram
+    and rounded to float once.
     """
     v = core.size
     if v < 2:
         return 0.0
-    counts = np.zeros(len(k.degrees) + 1, dtype=np.int64)
-    for rows, upper in _row_blocks(v):
-        common = k.gram[np.ix_(core[rows], core)][upper].astype(np.int64)
-        counts += np.bincount(common, minlength=counts.size)
     e = int(k.degrees[core].sum()) // 2
     # p^2 v = 4e^2 / (v (v-1)^2): scale every term by that denominator
     den = v * (v - 1) ** 2
-    total = sum(c * abs(x * den - 4 * e * e) for x, c in enumerate(counts.tolist()) if c)
-    return 2 * total / (den * v**3)  # int / int rounds correctly
+    counts = scan.hist.sum(axis=0).tolist()
+    total = sum(c * abs(x * den - 4 * e * e) for x, c in enumerate(counts) if c)
+    return total / (den * v**3)  # int / int rounds correctly
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +583,8 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
     If expect_n is omitted it is inferred from the order when that is a
     power of two.  The spectrum payload (and the analytic comparison) is
     computed only for orders up to SPECTRUM_CAP.  The pairwise, regularity
-    and Hadamard checks all read one Gram matrix G = A A^T.
+    and Hadamard checks all read one Gram matrix G = A A^T, through one
+    _scan of it.
     """
     order = g.order
     inferred = order.bit_length() - 1 if order > 0 and order & (order - 1) == 0 else None
@@ -550,12 +607,13 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
     k = _gram(g)
     # the core drops the isolated vertices, which changes no co-degree
     core = np.flatnonzero(k.degrees)
+    scan = _scan(k, core)
     isolated = order - core.size
     report.add("unique_isolated_vertex", isolated == 1, f"isolated vertices: {isolated}")
 
     report.add(
         "hadamard_signed_adjacency",
-        _is_hadamard(k),
+        scan.hadamard,
         "signed adjacency S satisfies S S^T = order * I",
     )
     bal = _balanced_rows_witness(k)
@@ -564,14 +622,14 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
         bal is None,
         "" if bal is None else f"row {bal[0]} has {bal[1]} ones",
     )
-    quart = _pairwise_quarters_witness(k)
+    quart = _pairwise_quarters_witness(k, scan)
     report.add(
         "pairwise_intersection_quarters",
         quart is None,
         "" if quart is None else f"rows {quart[0]} and {quart[1]} break the order/4 pattern",
     )
 
-    srg = _srg_parameters(k, core) if core.size else None
+    srg = _srg_parameters(k, core, scan) if core.size else None
     if isinstance(srg, SrgParams) and n is not None and order % 4 == 0:
         expected = [order - 1, order // 2, order // 4, order // 4]
         report.add(
@@ -587,7 +645,7 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
 
     # the 1/v bound is asymptotic; tiny cores (the order-4 member's core is
     # a bare triangle) get the value reported without a pass/fail cutoff
-    dev = _quasirandom_deviation(k, core)
+    dev = _quasirandom_deviation(k, core, scan)
     if core.size >= 15:
         report.add(
             "quasirandom_deviation_bounded",

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from f2rank import verify
@@ -95,16 +98,17 @@ def _naive_srg(g: Graph):
 
 
 def _naive_quasirandom(g: Graph) -> float:
+    """The deviation summed in exact rationals and rounded to float once."""
     v = g.order
     if v < 2:
         return 0.0
-    p = 2 * g.edge_count() / (v * (v - 1))
+    p = Fraction(2 * g.edge_count(), v * (v - 1))
     rows = g.adj.row_ints()
-    total = 0.0
-    for i in range(v):
-        for j in range(i + 1, v):
-            total += 2 * abs((rows[i] & rows[j]).bit_count() - p * p * v)
-    return total / v**3
+    co_degrees = Counter(
+        (rows[i] & rows[j]).bit_count() for i in range(v) for j in range(i + 1, v)
+    )
+    total = sum(2 * c * abs(x - p * p * v) for x, c in co_degrees.items())
+    return float(total / v**3)
 
 
 def _reference_cases() -> list[Graph]:
@@ -175,14 +179,16 @@ def test_pairwise_quarters():
 
 def test_pairwise_quarters_against_naive():
     # the Gram-matrix checks reproduce the direct loops: verdicts, witnesses,
-    # SRG reasons and the printed deviation, standalone and inside full_report
+    # SRG reasons and the deviation, standalone and inside full_report
     assert _naive_quarters_witness(g2_power(2)) is None
     for g in _reference_cases():
-        assert verify._balanced_rows_witness(verify._gram(g)) == _naive_balanced_witness(g)
-        assert verify._pairwise_quarters_witness(verify._gram(g)) == _naive_quarters_witness(g)
+        k = verify._gram(g)
+        assert verify._balanced_rows_witness(k) == _naive_balanced_witness(g)
+        scan = verify._scan(k, np.flatnonzero(k.degrees))
+        assert verify._pairwise_quarters_witness(k, scan) == _naive_quarters_witness(g)
         assert check_pairwise_quarters(g) == (_naive_quarters_witness(g) is None)
         assert srg_parameters(g) == _naive_srg(g)
-        assert f"{quasirandom_deviation(g):.6g}" == f"{_naive_quasirandom(g):.6g}"
+        assert quasirandom_deviation(g) == _naive_quasirandom(g)
 
         result = full_report(g)
         core = g.remove_vertices(g.isolated_vertices())
@@ -190,6 +196,106 @@ def test_pairwise_quarters_against_naive():
         dev = result.report["quasirandom_deviation_bounded"].details
         assert dev.startswith(f"deviation {_naive_quasirandom(core):.6g}")
         assert result.report["hadamard_signed_adjacency"].passed == is_hadamard(sign_map(g.adj))
+
+
+def _with_isolated(g: Graph, count: int, rng: random.Random) -> Graph:
+    """g plus count isolated vertices, relabelled so they fall among the others."""
+    return _relabel(Graph.from_edges(g.order + count, g.edges()), rng)
+
+
+def _flip(g: Graph, i: int, j: int) -> Graph:
+    bit = 1 - g.adj.get(i, j)
+    return Graph(g.adj.set_bit(i, j, bit).set_bit(j, i, bit))
+
+
+def _two_switch(g: Graph, rng: random.Random) -> Graph:
+    """g with edges ab, cd replaced by ad, cb: every degree stays, co-degrees move."""
+    while True:
+        a, b, c, d = rng.sample(range(g.order), 4)
+        if g.adj.get(a, b) and g.adj.get(c, d) and not g.adj.get(a, d) and not g.adj.get(c, b):
+            return _flip(_flip(_flip(_flip(g, a, b), c, d), a, d), c, b)
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def _histogram_cases() -> list[Graph]:
+    """Graphs aimed at the histogram reading of the SRG and quarters checks:
+    isolated vertices among the core, a missing pair kind, one pair kind
+    whose co-degree varies while the other's is constant, odd orders and
+    orders of several BLOCK_ROWS blocks."""
+    rng = random.Random(43)
+    prism = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    member = _relabel(g2_power(4), rng)
+    return [
+        _with_isolated(_petersen(), 2, rng),
+        _with_isolated(_petersen(), 1, rng),
+        _with_isolated(_cycle(5), 1, rng),
+        _with_isolated(complete_graph(6), 1, rng),
+        _with_isolated(complete_graph(4), 1, rng),
+        Graph.empty(7),
+        _cycle(6),  # adjacent co-degrees all 0, non-adjacent ones 0 or 1
+        prism,  # non-adjacent co-degrees all 2, adjacent ones 0 or 1
+        _with_isolated(prism, 3, rng),
+        random_graph(rng, 9),
+        random_graph(rng, 301),
+        member,
+        _two_switch(member, rng),
+        _flip(member, *rng.sample(range(256), 2)),
+    ]
+
+
+def _naive_hist(g: Graph, core: list[int]) -> list[list[int]]:
+    rows = g.adj.row_ints()
+    hist = [[0] * (g.order + 1) for _ in range(2)]
+    for i in core:
+        for j in core:
+            if i != j:
+                hist[(rows[i] >> j) & 1][(rows[i] & rows[j]).bit_count()] += 1
+    return hist
+
+
+@pytest.mark.parametrize("block_rows", [5, verify.BLOCK_ROWS])
+def test_scan_matches_row_major(monkeypatch, block_rows):
+    # the one pass over G gives the same verdicts, witnesses and exact
+    # deviation as the row-major search, for blocks that do and do not
+    # divide the order
+    monkeypatch.setattr(verify, "BLOCK_ROWS", block_rows)
+    for g in _reference_cases() + _histogram_cases():
+        k = verify._gram(g)
+        hadamard = is_hadamard(sign_map(g.adj))
+        nonzero = np.flatnonzero(k.degrees)
+        for core in (nonzero, np.arange(g.order)):
+            scan = verify._scan(k, core)
+            assert scan.hadamard == hadamard
+            assert scan.hist.tolist() == _naive_hist(g, core.tolist())
+            srg = verify._srg_parameters(k, core, scan)
+            assert srg == verify._srg_row_major(k, core)
+            sub = Graph(g.adj.submatrix(core.tolist(), core.tolist()))
+            assert verify._quasirandom_deviation(k, core, scan) == _naive_quasirandom(sub)
+        scan = verify._scan(k, nonzero)
+        assert verify._pairwise_quarters_witness(k, scan) == verify._quarters_row_major(k)
+
+
+def test_histogram_cases_cover_each_reading():
+    cases = _histogram_cases()
+    srgs = [full_report(g).srg for g in cases[:9]]
+    assert srgs[0] == srgs[1] == SrgParams(10, 3, 0, 1)
+    assert srgs[2] == SrgParams(5, 2, 0, 1)
+    assert srgs[3] == SrgParams(6, 5, 4, None)
+    assert srgs[5] is None and srg_parameters(cases[5]) == SrgParams(7, 0, None, 0)
+    assert [s.reason for s in (srgs[6], srgs[7], srgs[8])] == [
+        "non-adjacent co-degree varies",
+        "adjacent co-degree varies",
+        "adjacent co-degree varies",
+    ]
+    switched = full_report(cases[-2]).report
+    assert switched["balanced_rows"].passed
+    assert not switched["pairwise_intersection_quarters"].passed
+    assert not switched["srg_core"].passed
 
 
 def test_srg_parameters():
@@ -386,6 +492,51 @@ def test_full_report_builds_one_gram_matrix(monkeypatch):
         calls.clear()
         full_report(g)
         assert calls == [g.order]
+
+
+def test_full_report_scans_once_and_searches_only_on_failure(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(verify, name, wrapper)
+
+    counting("_scan", verify._scan)
+    counting("_first_pair", verify._first_pair)
+    rng = random.Random(44)
+    member = _relabel(g2_power(4), rng)
+    assert full_report(member).report.passed
+    assert calls == {"_scan": 1}
+    # a 2-switch keeps every degree, so only the histogram sees the damage,
+    # and the row-major search then names the witnesses
+    calls.clear()
+    report = full_report(_two_switch(member, rng)).report
+    assert not report["pairwise_intersection_quarters"].passed
+    assert calls["_scan"] == 1 and calls["_first_pair"] >= 1
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_full_report_at_north_star_orders(monkeypatch, m):
+    rng = random.Random(45 + m)
+    member = _relabel(g2_power(m), rng)
+    n = member.order
+    result = full_report(member)
+    assert result.report.passed, [c.name for c in result.report.checks if not c.passed]
+    assert result.srg.as_list() == [n - 1, n // 2, n // 4, n // 4]
+
+    # keep the broken member's Gram matrix to run the row-major search on
+    grams = []
+    gram = verify._gram
+    monkeypatch.setattr(verify, "_gram", lambda g: grams.append(gram(g)) or grams[-1])
+    report = full_report(_flip(member, *rng.sample(range(n), 2)))
+    [k] = grams
+    a, b = verify._quarters_row_major(k)
+    quarters = report.report["pairwise_intersection_quarters"]
+    assert quarters.details == f"rows {a} and {b} break the order/4 pattern"
+    assert report.srg == verify._srg_row_major(k, np.flatnonzero(k.degrees))
 
 
 def test_full_report_validates_its_graph_once(monkeypatch):
