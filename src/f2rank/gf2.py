@@ -504,9 +504,10 @@ def _xor_rows(row_ints: Sequence[int], x: int) -> int:
     return acc
 
 
-def symplectic_coordinates(m: BitMatrix) -> np.ndarray | None:
+def symplectic_coordinates(m: BitMatrix, basis: list[int] | None = None) -> np.ndarray | None:
     """One packed code per row of a symmetric zero-diagonal m: the row's
     coordinates in a symplectic basis, or None when subspace_basis(m) is None.
+    A caller that already holds subspace_basis(m) passes it as basis.
 
     With P the first-appearance basis and k_i the coordinates of row i in
     it, entry (i, j) is k_i^T M k_j where M = m[P, P], a nondegenerate
@@ -521,7 +522,8 @@ def symplectic_coordinates(m: BitMatrix) -> np.ndarray | None:
     """
     if m.rows != m.cols:
         raise ValueError("symplectic coordinates need a square matrix")
-    basis = subspace_basis(m)
+    if basis is None:
+        basis = subspace_basis(m)
     if basis is None:
         return None
     n = len(basis)

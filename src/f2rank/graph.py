@@ -245,9 +245,12 @@ def from_graph6(text: str) -> Graph:
     for i in range(n):
         arr[i, :i] = bits[start : start + i]
         start += i
+    del bits
     # mirror the lower triangle tile by tile, as in _first_offence
     for r0 in range(0, n, _TILE):
         for c0 in range(0, r0 + 1, _TILE):
             tile = (slice(r0, r0 + _TILE), slice(c0, c0 + _TILE))
             arr[tile[::-1]] |= arr[tile].T
-    return Graph(BitMatrix.from_bool_array(arr))
+    adj = BitMatrix.from_bool_array(arr)
+    del arr  # Graph validation unpacks its own copy
+    return Graph(adj)

@@ -2,7 +2,10 @@
 
 Every checker is a pure function; failures are data (report entries),
 never exceptions, so complete reports can be emitted for bad inputs.
-The coset decomposition certifies the block structure of symmetric
+full_report reads the pairwise, regularity and Hadamard claims off the
+standard form of the symplectic coordinates once it has certified that
+form exactly; other inputs go through one Gram matrix G = A A^T.  The
+coset decomposition certifies the block structure of symmetric
 zero-diagonal subspace matrices:
 
 * level 1 reorders the rows so that row k is the XOR of the basis rows
@@ -26,8 +29,8 @@ from .gf2 import (
     BitVector,
     rank_of_row_ints,
     row_space_contains,
-    rows_form_subspace,
     subspace_basis,
+    symplectic_coordinates,
 )
 from .graph import Graph, is_negation_free, is_twin_free
 from .spectral import Spectrum, analytic_spectrum, graph_spectrum
@@ -128,8 +131,10 @@ BLOCK_ROWS = 128
 
 @dataclass(frozen=True)
 class _Gram:
-    adj: np.ndarray  # boolean adjacency A
-    gram: np.ndarray  # float32 G = A A^T; G_ij counts common neighbours of i, j
+    # adj and gram are None when the standard form certified the input:
+    # every check then passes, and no witness search reads them
+    adj: np.ndarray | None  # boolean adjacency A
+    gram: np.ndarray | None  # float32 G = A A^T; G_ij counts common neighbours of i, j
     degrees: np.ndarray  # int64 diag(G)
 
 
@@ -186,6 +191,47 @@ def _scan(k: _Gram, core: np.ndarray) -> _Scan:
     v = core.size
     hist[0, 0] -= n * (n - 1) - v * (v - 1)
     return _Scan(hadamard, hist)
+
+
+def _standard_form(a: BitMatrix, codes: np.ndarray) -> tuple[_Gram, _Scan] | None:
+    """The degrees and the _Scan of a, read off its codes, if the codes list
+    range(order) once each and entry (i, j) is parity(c_i & J c_j), with J
+    swapping code bits 2t and 2t + 1; else None.
+
+    Row i of that form is the XOR, over the set bits b of c_i, of the
+    packed row holding bit b ^ 1 of every code.  One table of those XORs
+    per byte of code bits yields BLOCK_ROWS rows at a time, compared with
+    the packed rows of a, so no order x order array is built.  The form is
+    nondegenerate: code 0 is isolated, every other vertex has degree N/2,
+    and two distinct nonzero codes give independent functionals, so every
+    pair of core vertices has co-degree N/4.  Then N - 2 d_i - 2 d_j +
+    4 G_ij, the identity _scan tests, is 0 for all i != j: S is Hadamard.
+    """
+    order = a.rows
+    n = order.bit_length() - 1
+    if n % 2 or not np.array_equal(np.sort(codes), np.arange(order)):
+        return None
+    bits = (codes >> (np.arange(n) ^ 1)[:, None]) & 1
+    flipped = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    tables = []
+    for lo in range(0, n, 8):
+        table = np.zeros((1, flipped.shape[1]), dtype=np.uint8)
+        for col in flipped[lo : lo + 8]:
+            table = np.concatenate([table, table ^ col])
+        tables.append(table)
+    rows = a._row_bytes()
+    for lo in range(0, order, BLOCK_ROWS):
+        block = codes[lo : lo + BLOCK_ROWS]
+        want = np.zeros((block.size, rows.shape[1]), dtype=np.uint8)
+        for t, table in enumerate(tables):
+            want ^= table[(block >> 8 * t) & 255]
+        if not np.array_equal(want, rows[lo : lo + BLOCK_ROWS]):
+            return None
+    core = order - 1
+    hist = np.zeros((2, order + 1), dtype=np.int64)
+    hist[1, order // 4] = core * (order // 2)
+    hist[0, order // 4] = core * (core - 1) - core * (order // 2)
+    return _Gram(None, None, np.where(codes == 0, 0, order // 2)), _Scan(True, hist)
 
 
 def _first_pair(m: int, bad) -> tuple[int, int] | None:
@@ -373,6 +419,54 @@ def _is_symmetric_zero_diag(a: BitMatrix) -> bool:
     return True
 
 
+def _block_identity(m: np.ndarray, v: np.ndarray) -> bool:
+    """m = [B | B+V^T ; B+V | B+V+V^T], with B the top-left quadrant of m
+    and every row of V equal to v."""
+    h = v.size
+    b = m[:h, :h]
+    return (
+        np.array_equal(m[:h, h:], b ^ v[:, None])
+        and np.array_equal(m[h:, :h], b ^ v)
+        and np.array_equal(m[h:, h:], b ^ v ^ v[:, None])
+    )
+
+
+def _coset_order(a: BitMatrix | Graph, basis: list[int] | None) -> tuple[np.ndarray, np.ndarray]:
+    """The coset permutation of a subspace matrix and the matrix conjugated
+    by it, as a dense 0/1 array whose level-1 block identity holds.
+
+    With P the first-appearance basis and k_i the coordinates of row i in
+    it, row i on the columns P is y_i = M k_i with M = a[P, P] invertible.
+    So the packed y_i list range(2^n), and the row with coordinates k is
+    the one whose y is the XOR of the y_p selected by k's binary digits:
+    one argsort of y inverts them.
+    """
+    if isinstance(a, Graph):
+        a = a.adj
+    elif not _is_symmetric_zero_diag(a):
+        raise NotSubspaceMatrixError("matrix is not symmetric with zero diagonal")
+    basis = subspace_basis(a) if basis is None else basis
+    if basis is None:
+        raise NotSubspaceMatrixError("rows do not form a subspace without repetition")
+    if not basis:
+        raise NotSubspaceMatrixError("decomposition needs rank >= 1")
+    rows = a._row_bytes()
+    p = np.asarray(basis, dtype=np.intp)
+    y = ((rows[:, p >> 3] >> (p & 7)) & 1).astype(np.int64) @ (1 << np.arange(p.size))
+    span = np.zeros(1, dtype=np.int64)
+    for i in p:
+        span = np.concatenate([span, span ^ y[i]])
+    perm = np.argsort(y)[span]
+    dense = np.unpackbits(rows[perm], axis=1, count=a.cols, bitorder="little").take(perm, axis=1)
+    half = a.rows // 2
+    u = dense[half, :half]
+    if not np.array_equal(u, dense[half, half:]):
+        raise AssertionError("coset vector halves differ on a symmetric input")
+    if not _block_identity(dense, u):
+        raise AssertionError("coset block identity violated")
+    return perm, dense
+
+
 def coset_decompose(a: BitMatrix | Graph) -> CosetDecomposition:
     """Reorder a subspace matrix into coset order and split off B and u.
 
@@ -384,151 +478,85 @@ def coset_decompose(a: BitMatrix | Graph) -> CosetDecomposition:
     coset vector u.  A Graph's adjacency was validated when the Graph was
     built; a bare BitMatrix is checked for symmetry and zero diagonal.
     """
-    if isinstance(a, Graph):
-        a = a.adj
-    elif not _is_symmetric_zero_diag(a):
-        raise NotSubspaceMatrixError("matrix is not symmetric with zero diagonal")
-    basis_idx = subspace_basis(a)
-    if basis_idx is None:
-        raise NotSubspaceMatrixError("rows do not form a subspace without repetition")
-    n_dim = len(basis_idx)
-    if n_dim < 1:
-        raise NotSubspaceMatrixError("decomposition needs rank >= 1")
-    rows = a.row_ints()
-    # span[k] is the XOR of the basis rows selected by k's binary digits
-    span = [0]
-    for i in basis_idx:
-        span += [s ^ rows[i] for s in span]
-    index_of = {r: i for i, r in enumerate(rows)}
-    perm = [index_of[t] for t in span]
-    reordered = a.conjugate(perm)
-    half = a.rows // 2
-    idx_top = list(range(half))
-    top_block = reordered.submatrix(idx_top, idx_top)
-    coset_row = reordered.row(half)
-    u = coset_row.slice(0, half)
-    uhat = coset_row.slice(half, 2 * half)
-    basis = [reordered.row(1 << i) for i in range(n_dim)]
-    decomp = CosetDecomposition(perm, basis, reordered, top_block, u)
-    if u != uhat:
-        raise AssertionError("coset vector halves differ on a symmetric input")
-    _assert_block_identity(reordered, top_block, u)
-    return decomp
+    perm, dense = _coset_order(a, None)
+    reordered = BitMatrix.from_bool_array(dense)
+    half = reordered.rows // 2
+    basis = [reordered.row(1 << i) for i in range(half.bit_length())]
+    top_block = BitMatrix.from_bool_array(dense[:half, :half])
+    u = reordered.row(half).slice(0, half)
+    return CosetDecomposition(perm.tolist(), basis, reordered, top_block, u)
 
 
-def _repeat_rows(v: BitVector, count: int) -> BitMatrix:
-    return BitMatrix(count, v.n, [v.bits] * count)
+def _spans(m: np.ndarray, dim: int) -> BitMatrix:
+    """Rows 2^t, t < dim, of a block of the reordered matrix: row k of it
+    is the XOR of these over k's binary digits, so they span its rows."""
+    return BitMatrix.from_bool_array(m[1 << np.arange(dim)])
 
 
-def _assert_block_identity(reordered: BitMatrix, b: BitMatrix, u: BitVector):
-    half = b.rows
-    idx_top = list(range(half))
-    idx_bot = list(range(half, 2 * half))
-    u_rows = _repeat_rows(u, half)
-    u_cols = u_rows.transpose()
-    ok = (
-        reordered.submatrix(idx_top, idx_bot) == b ^ u_cols
-        and reordered.submatrix(idx_bot, idx_top) == b ^ u_rows
-        and reordered.submatrix(idx_bot, idx_bot) == b ^ u_rows ^ u_cols
-    )
-    if not ok:
-        raise AssertionError("coset block identity violated")
+def _vector(v: np.ndarray) -> BitVector:
+    return BitMatrix.from_bool_array(v[None]).row(0)
 
 
-def decomposition_invariants(a: BitMatrix | Graph) -> VerificationReport:
+def decomposition_invariants(
+    a: BitMatrix | Graph, *, basis: list[int] | None = None
+) -> VerificationReport:
     """Run both decomposition levels and check every block-structure claim.
 
     Index conventions: u is the first half of reordered row 2^(n-1) (its
     second half is checked equal); x, y are the first and second halves
     of u; w is the first quarter of reordered row 2^(n-2), and (s, t) are
-    that row's third and fourth quarters.
+    that row's third and fourth quarters.  A caller that already holds
+    subspace_basis(a) passes it as basis.
     """
     report = VerificationReport()
     try:
-        d = coset_decompose(a)
+        _, r = _coset_order(a, basis)
     except (NotSubspaceMatrixError, ValueError) as exc:
         report.add("preconditions", False, str(exc))
         return report
     report.add("preconditions", True, "symmetric zero-diagonal subspace matrix")
-    n_dim = len(d.basis)
-    b = d.top_block
-    u = d.coset_vector
-    report.add("u_equals_uhat", u == d.coset_vector_second_half, "")
+    half = len(r) // 2
+    n_dim = half.bit_length()
+    b = r[:half, :half]
+    u = r[half, :half]
+    report.add("u_equals_uhat", np.array_equal(u, r[half, half:]), "")
     report.add("block_identity", True, "reordered = [B | B+U^T ; B+U | B+U+U^T]")
-    rank_b = rank_of_row_ints(b.row_ints(), b.cols)
+    b_spans = _spans(b, n_dim - 1)
+    rank_b = rank_of_row_ints(b_spans.row_ints(), half)
     report.add("rank_top_block", rank_b == n_dim - 2, f"rank(B) = {rank_b}, expected {n_dim - 2}")
-    report.add(
-        "u_outside_top_block_rowspace",
-        not row_space_contains(b, u),
-        "u is not a combination of rows of B",
-    )
+    u_in = row_space_contains(b_spans, _vector(u))
+    report.add("u_outside_top_block_rowspace", not u_in, "u is not a combination of rows of B")
     if n_dim < 2:
         report.add("second_level", False, "needs rank >= 2")
         return report
 
-    half = b.rows
     q = half // 2
-    idx_q = list(range(q))
-    c = b.submatrix(idx_q, idx_q)
-    mid = b.row(q)
-    w = mid.slice(0, q)
-    what = mid.slice(q, 2 * q)
-    w_rows = _repeat_rows(w, q)
-    w_cols = w_rows.transpose()
-    idx_hi = list(range(q, 2 * q))
-    second_ok = (
-        what == w
-        and b.submatrix(idx_q, idx_hi) == c ^ w_cols
-        and b.submatrix(idx_hi, idx_q) == c ^ w_rows
-        and b.submatrix(idx_hi, idx_hi) == c ^ w_rows ^ w_cols
-    )
-    report.add(
-        "second_level_block_identity",
-        second_ok,
-        "B = [C | C+W^T ; C+W | C+W+W^T]",
-    )
+    c = b[:q, :q]
+    w = b[q, :q]
+    second_ok = np.array_equal(w, b[q, q:]) and _block_identity(b, w)
+    report.add("second_level_block_identity", second_ok, "B = [C | C+W^T ; C+W | C+W+W^T]")
 
-    x = u.slice(0, q)
-    y = u.slice(q, 2 * q)
-    w_full_row = d.reordered.row(q)
-    s = w_full_row.slice(2 * q, 3 * q)
-    t = w_full_row.slice(3 * q, 4 * q)
-    report.add("s_equals_t", s == t, "")
-    rel = (w == s and x == y) or (w == s.complement() and x == y.complement())
-    report.add(
-        "w_s_x_y_relation",
-        rel,
-        "either (w=s and x=y) or (w=~s and x=~y)",
-    )
-    x_in = row_space_contains(c, x)
-    w_in = row_space_contains(c, w)
+    x, y = u[:q], u[q:]
+    s, t = r[q, 2 * q : 3 * q], r[q, 3 * q :]
+    report.add("s_equals_t", np.array_equal(s, t), "")
+    rel = any(np.array_equal(w, s ^ f) and np.array_equal(x, y ^ f) for f in (0, 1))
+    report.add("w_s_x_y_relation", rel, "either (w=s and x=y) or (w=~s and x=~y)")
+    c_spans = _spans(c, n_dim - 2)
+    x_in = row_space_contains(c_spans, _vector(x))
+    w_in = row_space_contains(c_spans, _vector(w))
     report.add(
         "x_w_membership_dichotomy",
         x_in == w_in,
         f"x in rowspace(C): {x_in}; w in rowspace(C): {w_in}",
     )
     if x_in or w_in or n_dim < 4:
-        report.add(
-            "quarter_intersections",
-            True,
-            "skipped: applies only when x and w both lie outside rowspace(C)",
-        )
-        report.add(
-            "tiled_quarter_block",
-            True,
-            "skipped: applies only when x and w both lie outside rowspace(C)",
-        )
+        skipped = "skipped: applies only when x and w both lie outside rowspace(C)"
+        report.add("quarter_intersections", True, skipped)
+        report.add("tiled_quarter_block", True, skipped)
         return report
 
     expected = 1 << (n_dim - 4)
-    xb, wb = x.bits, w.bits
-    full = (1 << q) - 1
-    sizes = [
-        ((xb ^ full) & (wb ^ full)).bit_count(),
-        ((xb ^ full) & wb).bit_count(),
-        (xb & (wb ^ full)).bit_count(),
-        (xb & wb).bit_count(),
-    ]
+    sizes = [int(np.count_nonzero((x == xi) & (w == wi))) for xi in (0, 1) for wi in (0, 1)]
     report.add(
         "quarter_intersections",
         all(sz == expected for sz in sizes),
@@ -539,27 +567,19 @@ def decomposition_invariants(a: BitMatrix | Graph) -> VerificationReport:
     # row r of C (an element of its radical) gives C[i ^ r][j] = C[i][j]:
     # ordering each class by i ^ r, with r the class's own zero row, lines
     # the classes up entrywise whatever the input vertex order was
+    zero = ~c.any(axis=1)
     order: list[int] = []
-    for key in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        members = [i for i in range(q) if ((wb >> i) & 1, (xb >> i) & 1) == key]
-        zero = next((i for i in members if c.row_int(i) == 0), None)
-        if zero is None:
+    for key in range(4):  # (w_i, x_i) = (0, 0), (0, 1), (1, 0), (1, 1)
+        members = np.flatnonzero(2 * w + x == key)
+        roots = members[zero[members]]
+        if not roots.size:
             break
-        order += sorted(members, key=lambda i: i ^ zero)
+        order += members[np.argsort(members ^ roots[0])].tolist()
     tiled = len(order) == q
     if tiled:
-        c_sorted = c.conjugate(order)
         quarter = q // 4
-        d_block = c_sorted.submatrix(list(range(quarter)), list(range(quarter)))
-        tiled = all(
-            c_sorted.submatrix(
-                list(range(bi * quarter, (bi + 1) * quarter)),
-                list(range(bj * quarter, (bj + 1) * quarter)),
-            )
-            == d_block
-            for bi in range(4)
-            for bj in range(4)
-        )
+        tiles = c[np.ix_(order, order)].reshape(4, quarter, 4, quarter)
+        tiled = bool((tiles == tiles[:1, :, :1]).all())
     report.add("tiled_quarter_block", tiled, "C equals the 4x4 tiling of its quarter block D")
     return report
 
@@ -582,9 +602,10 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
 
     If expect_n is omitted it is inferred from the order when that is a
     power of two.  The spectrum payload (and the analytic comparison) is
-    computed only for orders up to SPECTRUM_CAP.  The pairwise, regularity
-    and Hadamard checks all read one Gram matrix G = A A^T, through one
-    _scan of it.
+    computed only for orders up to SPECTRUM_CAP.  One subspace_basis feeds
+    the rank, the subspace check, the symplectic coordinates and the
+    decomposition.  The pairwise, regularity and Hadamard checks read the
+    standard form when _standard_form certifies it, else one _scan of G.
     """
     order = g.order
     inferred = order.bit_length() - 1 if order > 0 and order & (order - 1) == 0 else None
@@ -598,16 +619,19 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
         report.add("order", False, f"order {order} is not a power of two")
     report.add("twin_free", is_twin_free(g), "all neighbourhood rows distinct")
     report.add("negation_free", is_negation_free(g), "no row is the complement of another")
-    r = g.rank()
+    basis = subspace_basis(g.adj)
+    r = g.rank() if basis is None else len(basis)
     if n is not None:
         report.add("rank", r == n, f"rank {r}, expected {n}")
     else:
         report.add("rank", False, f"rank {r}, no expected value (order not a power of two)")
-    report.add("rows_form_subspace", rows_form_subspace(g.adj), "")
-    k = _gram(g)
+    report.add("rows_form_subspace", basis is not None, "")
+    codes = None if basis is None else symplectic_coordinates(g.adj, basis)
+    form = None if codes is None else _standard_form(g.adj, codes)
+    k = _gram(g) if form is None else form[0]
     # the core drops the isolated vertices, which changes no co-degree
     core = np.flatnonzero(k.degrees)
-    scan = _scan(k, core)
+    scan = _scan(k, core) if form is None else form[1]
     isolated = order - core.size
     report.add("unique_isolated_vertex", isolated == 1, f"isolated vertices: {isolated}")
 
@@ -697,6 +721,6 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
             f"{swapped_trace:g} and is rejected",
         )
 
-    decomp = decomposition_invariants(g)
+    decomp = decomposition_invariants(g, basis=basis)
     report.extend(decomp, prefix="decomposition.")
     return FullVerification(report=report, rank=r, srg=srg, spectrum=spectrum)
