@@ -18,6 +18,9 @@ class F2MatFormatError(ValueError):
     """Raised when f2mat text input is malformed."""
 
 
+_PARSE_BYTES = 1 << 20  # f2mat text encoded and checked per block
+
+
 def _mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -291,9 +294,14 @@ class BitMatrix:
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
-        rows, cols = arr.shape
-        n_bytes = (cols + 7) // 8
-        data = np.packbits(arr, axis=1, bitorder="little").tobytes()
+        return cls._from_row_bytes(np.packbits(arr, axis=1, bitorder="little"), arr.shape[1])
+
+    @classmethod
+    def _from_row_bytes(cls, packed: np.ndarray, cols: int) -> BitMatrix:
+        """Inverse of _row_bytes: row i holds the little-endian bytes of
+        packed[i]."""
+        rows, n_bytes = packed.shape
+        data = packed.tobytes()
         out = [int.from_bytes(data[i * n_bytes : (i + 1) * n_bytes], "little") for i in range(rows)]
         return cls(rows, cols, out)
 
@@ -334,15 +342,25 @@ class BitMatrix:
         # per character)
         lengths = np.fromiter(map(len, body[:rows]), dtype=np.int64, count=rows)
         k = int(np.append(lengths != cols, True).argmax())
-        chars = np.frombuffer("".join(body[:k]).encode("ascii", "replace"), dtype=np.uint8)
-        stray = (chars | 1) != ord("1")
-        if stray.any():
-            k = int(stray.argmax()) // cols
-        if k < rows:
-            raise F2MatFormatError(f"row {k + 1} is not {cols} characters of 0/1")
         if not rows:  # cols may exceed any array dimension
             return cls(0, cols)
-        return cls.from_bool_array(chars.reshape(rows, cols) - ord("0"))
+        # rows before k are encoded and packed a block at a time, so no
+        # second copy of the whole text and no whole-matrix mask is made
+        step = max(_PARSE_BYTES // max(cols, 1), 1)
+        # with k = 0 no row has width cols, which may exceed any dimension
+        packed = np.empty((k, (cols + 7) // 8 if k else 0), dtype=np.uint8)
+        for lo in range(0, k if cols else 0, step):
+            hi = min(lo + step, k)
+            chars = np.frombuffer("".join(body[lo:hi]).encode("ascii", "replace"), dtype=np.uint8)
+            chars = chars.reshape(hi - lo, cols)
+            # '0' and '1' are adjacent codes, so min and max find a stray byte
+            if chars.min() < ord("0") or chars.max() > ord("1"):
+                k = lo + int(((chars | 1) != ord("1")).any(axis=1).argmax())
+                break
+            packed[lo:hi] = np.packbits(chars & 1, axis=1, bitorder="little")
+        if k < rows:
+            raise F2MatFormatError(f"row {k + 1} is not {cols} characters of 0/1")
+        return cls._from_row_bytes(packed, cols)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -504,10 +522,13 @@ def _xor_rows(row_ints: Sequence[int], x: int) -> int:
     return acc
 
 
-def symplectic_coordinates(m: BitMatrix, basis: list[int] | None = None) -> np.ndarray | None:
+def symplectic_coordinates(
+    m: BitMatrix, basis: list[int] | None = None, rows: np.ndarray | None = None
+) -> np.ndarray | None:
     """One packed code per row of a symmetric zero-diagonal m: the row's
     coordinates in a symplectic basis, or None when subspace_basis(m) is None.
-    A caller that already holds subspace_basis(m) passes it as basis.
+    A caller that already holds subspace_basis(m) passes it as basis, and
+    one that holds m._row_bytes() passes it as rows.
 
     With P the first-appearance basis and k_i the coordinates of row i in
     it, entry (i, j) is k_i^T M k_j where M = m[P, P], a nondegenerate
@@ -528,7 +549,8 @@ def symplectic_coordinates(m: BitMatrix, basis: list[int] | None = None) -> np.n
         return None
     n = len(basis)
     p = np.asarray(basis, dtype=np.intp)
-    y = ((m._row_bytes()[:, p >> 3] >> (p & 7)) & 1).astype(np.int64)
+    rows = m._row_bytes() if rows is None else rows
+    y = ((rows[:, p >> 3] >> (p & 7)) & 1).astype(np.int64)
     form = y[p]
     if not np.array_equal(form, form.T) or form.diagonal().any():
         raise ValueError("basis block is not an alternating form")

@@ -3,15 +3,18 @@ and exact graph isomorphism with a certifying bijection.
 
 The order-8 sweep enumerates all 2^28 symmetric zero-diagonal 8x8 matrices
 by treating the upper-triangle entries as counter bits (pairs (i,j), i<j,
-in row-major order).  Each candidate packs into one uint64 (byte i = row i).
-The sweep walks blocks of at most 2^14 counters that never cross a multiple
-of 2^14, so a block is one slice of a low-bits table ORed with one
-high-bits entry, and ranks a block with branchless pair pivots (p, q) with
-a_pq = 1, which clear two rows and columns per step of an alternating
-matrix; buffers are reused, so a block's working set stays in cache.  The
-sweep's whole result is its rank histogram, and the scalar reference path
-is the test oracle.  Work partitions into disjoint counter ranges whose
-histograms add, so the outcome is independent of worker count.
+in row-major order).  The kernel is bit-sliced: 64 consecutive counters
+share one uint64 word, lane l holding counter 64w + l, and plane p holds
+counter bit p, that is entry p, of every lane.  Planes 0..5 are fixed lane
+patterns and planes 6..27 are 0 or all-ones per word, read off the word
+index, so no candidate is ever packed into a matrix.  Pair pivots (k, q)
+with a_kq = 1 clear two rows and columns per step of an alternating
+matrix; each step is a few hundred word-wide boolean ops that advance 64
+eliminations at once, and a 3-bit bit-sliced counter keeps rank/2.  Blocks
+of 2^12 words keep every plane in cache, and buffers are reused across
+blocks.  The sweep's whole result is its rank histogram, and the scalar
+reference path is the test oracle.  Work partitions into disjoint counter
+ranges whose histograms add, so the outcome is independent of worker count.
 """
 
 from __future__ import annotations
@@ -30,12 +33,18 @@ N3_ORDER = 8
 N3_PAIRS = list(combinations(range(N3_ORDER), 2))
 N3_SPAN = 1 << len(N3_PAIRS)  # 2^28 candidates
 DEFAULT_CHUNK = 1 << 22
-_BLOCK = 1 << 14  # one value of the high 14 counter bits
+_WORDS = 1 << 12  # words per sweep block: the 28 planes take 0.9 MB
+_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-_LANE = np.uint64(0x0101010101010101)
-_GATHER = np.uint64(0x0102040810204080)
-_U56 = np.uint64(56)
-_U255 = np.uint64(0xFF)
+# _PLANE[i][j] = the counter bit, so the plane, of entry (i, j); -1 on the diagonal
+_PLANE = [
+    [N3_PAIRS.index((min(i, j), max(i, j))) if i != j else -1 for j in range(N3_ORDER)]
+    for i in range(N3_ORDER)
+]
+# plane p < 6: bit l is bit p of lane l (0xAAAA..., 0xCCCC..., ..., 0xFFFFFFFF00000000)
+_LANE_PLANES = np.array(
+    [sum(1 << lane for lane in range(64) if lane >> p & 1) for p in range(6)], dtype=np.uint64
+)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +215,8 @@ def _alternating(packed: np.ndarray) -> bool:
 
 
 def _counter_half_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Packed-row contributions of the low and high 14 counter bits.
+    """Packed-row contributions (byte i = row i) of the low and high 14
+    counter bits.
 
     Every entry is alternating, so every candidate lo[a] | hi[b] (an XOR:
     the two halves touch disjoint entries) is too, which is the input
@@ -214,12 +224,13 @@ def _counter_half_tables() -> tuple[np.ndarray, np.ndarray]:
     """
     global _half_tables
     if _half_tables is None:
-        lo = np.zeros(_BLOCK, dtype=np.uint64)
-        hi = np.zeros(_BLOCK, dtype=np.uint64)
+        half = 1 << 14
+        lo = np.zeros(half, dtype=np.uint64)
+        hi = np.zeros(half, dtype=np.uint64)
         for p, (i, j) in enumerate(N3_PAIRS):
             contrib = np.uint64((1 << (8 * i + j)) | (1 << (8 * j + i)))
             table, bit = (lo, p) if p < 14 else (hi, p - 14)
-            idx = np.nonzero(np.arange(_BLOCK) & (1 << bit))[0]
+            idx = np.nonzero(np.arange(half) & (1 << bit))[0]
             table[idx] ^= contrib
         if not (_alternating(lo) and _alternating(hi)):
             raise AssertionError("counter tables hold a non-alternating matrix")
@@ -227,86 +238,139 @@ def _counter_half_tables() -> tuple[np.ndarray, np.ndarray]:
     return _half_tables
 
 
-# _LOWBIT[m] = index of the lowest set bit of the byte m (0 for m = 0)
-_LOWBIT = np.array([(m & -m).bit_length() - 1 if m else 0 for m in range(256)], dtype=np.uint64)
+class _BitSliced:
+    """The bit-sliced pair-pivot rank kernel with its planes and scratch
+    buffers, for up to `words` words (64 lanes each) per call; one instance
+    serves a whole sweep."""
 
+    def __init__(self, words: int):
+        self.planes = np.empty((len(N3_PAIRS), words), dtype=np.uint64)
+        self._row = np.empty((N3_ORDER, words), dtype=np.uint64)
+        self._seen = np.empty((2, words), dtype=np.uint64)
+        self._pick = np.empty(words, dtype=np.uint64)
+        self._tmp = np.empty(words, dtype=np.uint64)
+        self._half = np.empty((3, words), dtype=np.uint64)
 
-class _PairPivot:
-    """The pair-pivot rank kernel with its scratch buffers, for up to
-    `size` packed matrices per call; one instance serves a whole sweep."""
+    def _count(self, half: np.ndarray, nonzero: np.ndarray) -> None:
+        """Add 1 to the 3-bit counter half in the lanes set in nonzero."""
+        carry, tmp = self._pick[: nonzero.size], self._tmp[: nonzero.size]
+        np.bitwise_and(half[0], nonzero, out=carry)
+        np.bitwise_xor(half[0], nonzero, out=half[0])
+        np.bitwise_and(half[1], carry, out=tmp)
+        np.bitwise_xor(half[1], carry, out=half[1])
+        np.bitwise_xor(half[2], tmp, out=half[2])
 
-    def __init__(self, size: int):
-        self._words = np.empty((5, size), dtype=np.uint64)
-        self._nonzero = np.empty(size, dtype=bool)
-        self._rank = np.empty(size, dtype=np.uint8)
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        """rank/2 of the alternating matrices in words planes[:, lo:hi],
+        which are overwritten, as three bit planes (bit b of rank/2 in row b).
 
-    def __call__(self, mat: np.ndarray) -> np.ndarray:
-        """Ranks of the alternating matrices in `mat`, which is overwritten.
-
-        Step k takes row k (r_k) and the lowest set bit q of r_k; a_kq = 1
-        pivots the pair (k, q).  Let SPREAD[r] hold bit i of r in byte i;
-        by symmetry column j is row j, so SPREAD[r_j] = (mat >> j) & LANE.
-        mat ^= SPREAD[r_q] * r_k ^ SPREAD[r_k] * r_q clears rows and
-        columns k and q, keeps mat alternating and lowers its rank by 2; a
-        zero r_k makes both products zero.  After steps 0..4 rows 0..4 are
-        zero and rows 5..7 hold a 3x3 alternating matrix, whose rank is 2
+        Entry (i, j) of lane l is bit l of planes[_PLANE[i][j]].  Step k
+        takes row k (r) and its lowest set bit q: pick_j marks the lanes
+        with q = j (r_j set, every earlier r_j' clear), the running OR of r
+        (seen) marks those with r nonzero, and row q is R = OR_j pick_j &
+        row j.  a_kq = 1 pivots the pair
+        (k, q): E[i][l] ^= R_i & r_l ^ r_i & R_l over i < l beyond k keeps
+        the matrix alternating, zeroes row q and lowers the rank by 2 (row
+        and column k are never read again); a zero r makes R zero.  After
+        steps 0..4 rows 5..7 hold a 3x3 alternating matrix, whose rank is 2
         unless it is zero, so a nonzero test replaces steps 5 and 6.
         """
-        n = mat.size
-        rk, q, sq, sk, rq = self._words[:, :n]
-        nonzero, rank = self._nonzero[:n], self._rank[:n]
-        rank.fill(0)
-        rk_index = rk.view(np.intp)
+        n = hi - lo
+        planes = self.planes[:, lo:hi]
+        e = [[planes[p] if p >= 0 else None for p in row] for row in _PLANE]
+        rows, tmp = self._row[:, :n], self._tmp[:n]
+        seen, prev = self._seen[0, :n], self._seen[1, :n]
+        half = self._half[:, :n]
+        half.fill(0)
         for k in range(5):
-            np.right_shift(mat, np.uint64(8 * k), out=rk)
-            np.bitwise_and(rk, _U255, out=rk)
-            np.take(_LOWBIT, rk_index, out=q, mode="clip")  # bytes: never clipped
-            np.right_shift(mat, q, out=sq)
-            np.bitwise_and(sq, _LANE, out=sq)  # SPREAD[r_q]
-            np.multiply(sq, _GATHER, out=rq)
-            np.right_shift(rq, _U56, out=rq)  # r_q
-            np.right_shift(mat, np.uint64(k), out=sk)
-            np.bitwise_and(sk, _LANE, out=sk)  # SPREAD[r_k]
-            np.multiply(sq, rk, out=sq)
-            np.multiply(sk, rq, out=sk)
-            np.bitwise_xor(mat, sq, out=mat)
-            np.bitwise_xor(mat, sk, out=mat)
-            np.not_equal(rk, 0, out=nonzero)
-            np.add(rank, nonzero, out=rank)
-        np.right_shift(mat, np.uint64(40), out=rk)
-        np.not_equal(rk, 0, out=nonzero)
-        np.add(rank, nonzero, out=rank)
-        np.add(rank, rank, out=rank)
-        return rank
+            rest = range(k + 1, N3_ORDER)
+            r = e[k]
+            started = [False] * N3_ORDER
+            for j in rest:
+                if j == k + 1:
+                    np.copyto(seen, r[j])
+                    pick = r[j]  # row k is never written again
+                else:
+                    pick = self._pick[:n]
+                    seen, prev = prev, seen
+                    np.bitwise_or(prev, r[j], out=seen)
+                    np.bitwise_xor(seen, prev, out=pick)
+                for l in rest:
+                    if l == j:
+                        continue
+                    if started[l]:
+                        np.bitwise_and(pick, e[j][l], out=tmp)
+                        np.bitwise_or(rows[l], tmp, out=rows[l])
+                    else:
+                        np.bitwise_and(pick, e[j][l], out=rows[l])
+                        started[l] = True
+            for i in rest:
+                for l in range(i + 1, N3_ORDER):
+                    np.bitwise_and(rows[i], r[l], out=tmp)
+                    np.bitwise_xor(e[i][l], tmp, out=e[i][l])
+                    np.bitwise_and(r[i], rows[l], out=tmp)
+                    np.bitwise_xor(e[i][l], tmp, out=e[i][l])
+            self._count(half, seen)
+        np.bitwise_or(e[5][6], e[5][7], out=seen)
+        np.bitwise_or(seen, e[6][7], out=seen)
+        self._count(half, seen)
+        return half
 
 
 def _packed_rank(mat: np.ndarray) -> np.ndarray:
     """GF(2) rank of each packed 8x8 matrix (byte i = row i), branchless.
 
-    Exact only on alternating matrices (symmetric, zero diagonal), the
-    sweep's whole domain: pair pivoting returns even ranks only.
+    The matrices are transposed into bit planes, padded with zero lanes,
+    and ranked by the sweep's kernel.  Exact only on alternating matrices
+    (symmetric, zero diagonal), the sweep's whole domain: pair pivoting
+    returns even ranks only.  mat is not modified.
     """
-    return _PairPivot(mat.size)(mat.copy())
+    n = mat.size
+    words = -(-n // 64)
+    lanes = np.zeros(64 * words, dtype="<u8")
+    lanes[:n] = mat
+    bits = np.unpackbits(lanes.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    kernel = _BitSliced(words)
+    cols = [8 * i + j for i, j in N3_PAIRS]
+    kernel.planes[:] = np.packbits(bits[:, cols].T, axis=1, bitorder="little").view("<u8")
+    half = np.unpackbits(kernel(0, words).astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    return (half[:, :n].T @ np.array([2, 4, 8], dtype=np.uint8)).astype(np.uint8)
 
 
 def sweep_range(start: int, stop: int) -> SweepStats:
-    """Examine counters [start, stop) with the vectorized engine.
+    """Examine counters [start, stop) with the bit-sliced kernel.
 
-    Blocks never cross a multiple of 2^14, so a block's candidates are one
-    slice of the low table ORed with one entry of the high table, and the
-    block and the kernel's buffers stay in cache.
+    Counter 64w + l is lane l of word w.  Words go in aligned blocks of
+    _WORDS, so over a block the planes of the word-index bits below _WORDS
+    are fixed runs of zero and all-ones words and the planes above are
+    constant.  The kernel ranks the block's words that meet the range, and
+    lanes outside [start, stop) in the first and last word are masked out
+    of the histogram.
     """
-    lo, hi = _counter_half_tables()
     counts = np.zeros(N3_ORDER + 1, dtype=np.int64)
-    kernel = _PairPivot(_BLOCK)
-    block = np.empty(_BLOCK, dtype=np.uint64)
-    base = start
-    while base < stop:
-        offset = base % _BLOCK
-        size = min(_BLOCK - offset, stop - base)
-        packed = np.bitwise_or(lo[offset : offset + size], hi[base // _BLOCK], out=block[:size])
-        counts += np.bincount(kernel(packed), minlength=N3_ORDER + 1)
-        base += size
+    kernel = _BitSliced(_WORDS)
+    planes = kernel.planes
+    low_bits = _WORDS.bit_length() - 1
+    high = np.arange(len(N3_PAIRS) - 6 - low_bits)
+    runs = np.array([[0], [_ONES]], dtype=np.uint64)
+    first, last = start >> 6, (stop - 1) >> 6
+    for block in range(first // _WORDS, last // _WORDS + 1):
+        base = block * _WORDS
+        lo, hi = max(first - base, 0), min(last + 1 - base, _WORDS)
+        planes[:6] = _LANE_PLANES[:, None]
+        for b in range(low_bits):
+            planes[6 + b].reshape(-1, 2, 1 << b)[:] = runs
+        planes[6 + low_bits :] = np.where(block >> high & 1, _ONES, np.uint64(0))[:, None]
+        half = kernel(lo, hi)
+        first_lane, stop_lane = 64 * (base + lo), 64 * (base + hi)
+        half[:, 0] &= _ONES << np.uint64(max(start - first_lane, 0))
+        half[:, -1] &= _ONES >> np.uint64(max(stop_lane - stop, 0))
+        # rank/2 is at most 4, so lanes with bit 2 set have bits 0 and 1 clear
+        pop = [int(np.bitwise_count(h).sum()) for h in half]
+        both = int(np.bitwise_count(half[0] & half[1]).sum())
+        got = [pop[0] - both, pop[1] - both, both, pop[2]]
+        counts[2::2] += got
+        counts[0] += min(stop, stop_lane) - max(start, first_lane) - sum(got)
     return SweepStats(counts.tolist())
 
 

@@ -227,10 +227,10 @@ def _both_paths(monkeypatch, g: Graph, codes=None):
     gram = verify._gram
     monkeypatch.setattr(verify, "_gram", lambda g: grams.append(g.order) or gram(g))
     if codes is not None:
-        monkeypatch.setattr(verify, "symplectic_coordinates", lambda m, basis=None: codes)
+        monkeypatch.setattr(verify, "symplectic_coordinates", lambda m, basis=None, rows=None: codes)
     first = full_report(g)
     built = len(grams)
-    monkeypatch.setattr(verify, "symplectic_coordinates", lambda m, basis=None: None)
+    monkeypatch.setattr(verify, "symplectic_coordinates", lambda m, basis=None, rows=None: None)
     second = full_report(g)
     monkeypatch.undo()
     assert len(grams) == built + 1
@@ -283,3 +283,14 @@ def test_family_report_builds_no_square_array(member_4096):
     finally:
         tracemalloc.stop()
     assert peak < 3 * n * n
+
+
+def test_family_report_packs_rows_once(monkeypatch):
+    # the codes, the standard-form check and the decomposition share one
+    # packing of the rows
+    g = relabel(g2_power(5), random.Random(57))  # above SPECTRUM_CAP, so no eigensolver
+    calls = []
+    pack = BitMatrix._row_bytes
+    monkeypatch.setattr(BitMatrix, "_row_bytes", lambda m: calls.append(m.rows) or pack(m))
+    assert full_report(g).report.passed
+    assert calls == [g.order]

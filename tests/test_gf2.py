@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,6 +480,39 @@ F2MAT_MALFORMED = {
 def test_f2mat_malformed(text):
     with pytest.raises(F2MatFormatError, match=f"^{re.escape(F2MAT_MALFORMED[text])}$"):
         BitMatrix.from_f2mat(text)
+
+
+@pytest.mark.parametrize("block", [1, 3, 100])
+def test_f2mat_parse_blocks(monkeypatch, block):
+    # rows are encoded and checked a block of text at a time: every message
+    # and every parsed matrix is the same for any block size
+    monkeypatch.setattr(gf2, "_PARSE_BYTES", block)
+    for text, message in F2MAT_MALFORMED.items():
+        with pytest.raises(F2MatFormatError, match=f"^{re.escape(message)}$"):
+            BitMatrix.from_f2mat(text)
+    m = random_bitmatrix(random.Random(60), 37, 29)
+    text = m.to_f2mat()
+    assert BitMatrix.from_f2mat(text) == m
+    bad = text.split("\n")
+    bad[30] = bad[30][:7] + "2" + bad[30][8:]
+    with pytest.raises(F2MatFormatError, match="^row 30 is not 29 characters of 0/1$"):
+        BitMatrix.from_f2mat("\n".join(bad))
+
+
+def test_from_f2mat_peak_memory_order_4096():
+    # the text belongs to the caller; parsing holds one N^2-byte copy of
+    # the rows (its line list), the packed rows and per-block temporaries,
+    # but no second copy and no whole-matrix mask
+    m = g2_power(6).adj
+    text = m.to_f2mat()
+    tracemalloc.start()
+    try:
+        got = BitMatrix.from_f2mat(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == m
+    assert peak < 2 * m.rows**2
 
 
 def test_f2mat_empty_matrices():

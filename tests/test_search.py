@@ -129,14 +129,47 @@ def test_sweep_agrees_with_reference():
 
 
 def test_sweep_unaligned_ranges_match_reference():
-    # ranges that start or stop off a 2^14 block boundary, or cross one;
-    # the rank histogram differs from the reference if a counter is
-    # skipped or examined twice
+    # ranges that start or stop inside a 64-lane word, or cross a word
+    # boundary; the rank histogram differs from the reference if a counter
+    # is skipped or examined twice
     ranges = [(16380, 16390), (5, 20000), (1 << 14, (1 << 14) + 3), ((1 << 28) - 7, 1 << 28)]
     for start, stop in ranges:
         got = sweep_range(start, stop)
         assert got == sweep_range_reference(start, stop)
         assert sum(got.rank_counts) == got.candidates_examined == stop - start
+
+
+@pytest.mark.parametrize(
+    "start, stop",
+    [
+        (0, 1),
+        (63, 65),  # the last lane of word 0 and the first of word 1
+        (64, 128),  # exactly word 1
+        (70, 75),  # inside one word
+        (64 * search._WORDS - 70, 64 * search._WORDS + 70),  # across two sweep blocks
+        (N3_SPAN - 65, N3_SPAN),
+    ],
+)
+def test_sweep_lane_and_word_edges_match_reference(start, stop):
+    got = sweep_range(start, stop)
+    assert got == sweep_range_reference(start, stop)
+    assert got.candidates_examined == stop - start
+
+
+@pytest.mark.parametrize("size", [1, 63, 64, 65])
+def test_packed_rank_sizes_leave_input_unchanged(size):
+    from f2rank.search import _counter_half_tables, _packed_rank
+
+    lo, hi = _counter_half_tables()
+    counters = np.arange(size, dtype=np.int64) * 4099 + 3 * 2**26
+    packed = lo[counters & 0x3FFF] | hi[counters >> 14]
+    before = packed.copy()
+    ranks = _packed_rank(packed)
+    assert np.array_equal(packed, before)
+    assert ranks.shape == (size,)
+    assert ranks.tolist() == [
+        rank_of_row_ints(_rows_from_counter(c, 8, N3_PAIRS), 8) for c in counters.tolist()
+    ]
 
 
 @pytest.mark.parametrize("n", [4, 5])
