@@ -33,7 +33,7 @@ from .verify import SrgParams, full_report
 
 SPECTRUM_VERTEX_CAP = 1024
 # a power of two: g2pow m <= 7, odd n <= 13, linegraph-k k <= 181;
-# construct g2pow 7 takes about 6 s and a 0.65 GB (f2mat) or 0.55 GB
+# construct g2pow 7 takes about 4 s and a 0.59 GB (f2mat) or 0.53 GB
 # (graph6) peak on a 2-CPU Xeon
 CONSTRUCT_ORDER_CAP = 1 << 14
 

@@ -1,10 +1,12 @@
 """Bit-packed dense linear algebra over GF(2).
 
-Vectors and matrices store their bits in Python integers (bit i of a row
-lives at integer bit position i), so XOR of two rows is a single
-word-parallel operation and popcounts come from ``int.bit_count``.  All
-public operations are pure: they never mutate their inputs and padding
-bits beyond the declared length are always zero.
+A BitVector keeps its bits in one Python integer (coordinate i at bit
+i).  A BitMatrix keeps a read-only array of packed bytes, little-endian
+within each byte, so bulk work (products, codecs, gathers, Four-Russians
+rank) is numpy on that array; integer rows are built on demand for the
+elimination by leading bit and for the small-graph helpers.  All public
+operations are pure: they never mutate their inputs and padding bits
+beyond the declared length are always zero.
 """
 
 from __future__ import annotations
@@ -25,12 +27,10 @@ def _mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def _pack_rows(row_ints: Sequence[int], cols: int) -> np.ndarray:
-    """Writable (len(row_ints), ceil(cols / 8)) uint8 array whose row i
-    holds the little-endian bytes of row_ints[i]."""
-    n_bytes = (cols + 7) // 8
-    data = bytearray().join(r.to_bytes(n_bytes, "little") for r in row_ints)
-    return np.frombuffer(data, dtype=np.uint8).reshape(len(row_ints), n_bytes)
+def _ints(packed: np.ndarray) -> list[int]:
+    """The rows of a packed (rows, bytes) uint8 array as integers."""
+    data, n = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * n : (i + 1) * n], "little") for i in range(len(packed))]
 
 
 class BitVector:
@@ -148,25 +148,49 @@ class BitVector:
 
 
 class BitMatrix:
-    """A rows x cols matrix over GF(2), one packed integer per row."""
+    """A rows x cols matrix over GF(2), stored as packed bytes.
 
-    __slots__ = ("rows", "cols", "_r")
+    packed is a C-contiguous, read-only (rows, ceil(cols / 8)) uint8 array:
+    entry (i, j) is bit j % 8 of byte j // 8 of row i, and bits past cols
+    are zero.  An empty matrix holds a (0, 0) array, since its width may
+    exceed any array dimension.
+    """
+
+    __slots__ = ("rows", "cols", "_packed")
 
     def __init__(self, rows: int, cols: int, row_ints: Sequence[int] | None = None):
+        """The matrix whose row i has the bits of the integer row_ints[i]
+        (bit j is entry (i, j)); all zero when row_ints is None."""
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        self.rows = rows
-        self.cols = cols
+        n_bytes = (cols + 7) // 8 if rows else 0
         if row_ints is None:
-            self._r = [0] * rows
+            packed = np.zeros((rows, n_bytes), dtype=np.uint8)
         else:
             if len(row_ints) != rows:
                 raise ValueError("row count mismatch")
-            m = _mask(cols)
-            for r in row_ints:
-                if r < 0 or r & ~m:
-                    raise ValueError("row bits outside declared width")
-            self._r = list(row_ints)
+            try:
+                data = bytearray().join(r.to_bytes(n_bytes, "little") for r in row_ints)
+            except OverflowError:  # a negative row, or one wider than n_bytes
+                raise ValueError("row bits outside declared width") from None
+            packed = np.frombuffer(data, dtype=np.uint8).reshape(rows, n_bytes)
+            if cols % 8 and (packed[:, -1:] >> cols % 8).any():
+                raise ValueError("row bits outside declared width")
+        self._init(packed, cols)
+
+    def _init(self, packed: np.ndarray, cols: int) -> None:
+        """Take packed, a (rows, ceil(cols / 8)) uint8 array with zero
+        padding bits that nothing else writes, as the storage."""
+        self.rows, self.cols = len(packed), cols
+        # packbits keeps the memory order of its input, which a transpose flips
+        self._packed = np.ascontiguousarray(packed if self.rows else packed.reshape(0, 0))
+        self._packed.flags.writeable = False
+
+    @classmethod
+    def _wrap(cls, packed: np.ndarray, cols: int) -> BitMatrix:
+        m = cls.__new__(cls)
+        m._init(packed, cols)
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[BitVector]) -> BitMatrix:
@@ -187,106 +211,64 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> BitMatrix:
-        return cls(n, n, [1 << i for i in range(n)])
+        return cls.from_bool_array(np.eye(n, dtype=bool))
 
-    @classmethod
-    def all_ones(cls, rows: int, cols: int) -> BitMatrix:
-        return cls(rows, cols, [_mask(cols)] * rows)
+    @property
+    def packed(self) -> np.ndarray:
+        """The read-only packed rows."""
+        return self._packed
 
     def row(self, i: int) -> BitVector:
-        if not 0 <= i < self.rows:
-            raise IndexError(f"row {i} out of range")
-        return BitVector(self.cols, self._r[i])
+        return BitVector(self.cols, self.row_int(i))
 
     def row_int(self, i: int) -> int:
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} out of range")
-        return self._r[i]
+        return int.from_bytes(self._packed[i].tobytes(), "little")
 
     def row_ints(self) -> list[int]:
-        return list(self._r)
+        """Row i as an integer whose bit j is entry (i, j)."""
+        return _ints(self._packed)
 
     def get(self, i: int, j: int) -> int:
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} out of range")
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} out of range")
-        return (self._r[i] >> j) & 1
+        return int(self._packed[i, j >> 3] >> (j & 7)) & 1
 
     def set_bit(self, i: int, j: int, value: int = 1) -> BitMatrix:
         """Return a copy with entry (i, j) set to value."""
-        self.get(i, j)
-        new_rows = list(self._r)
-        if value:
-            new_rows[i] |= 1 << j
-        else:
-            new_rows[i] &= ~(1 << j)
-        return BitMatrix(self.rows, self.cols, new_rows)
-
-    def popcount_row(self, i: int) -> int:
-        return self.row_int(i).bit_count()
+        old = self.get(i, j)
+        packed = self._packed.copy()
+        packed[i, j >> 3] ^= (old ^ bool(value)) << (j & 7)
+        return BitMatrix._wrap(packed, self.cols)
 
     def transpose(self) -> BitMatrix:
         return BitMatrix.from_bool_array(self.to_bool_array().T)
 
-    def hconcat(self, other: BitMatrix) -> BitMatrix:
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        shifted = [self._r[i] | (other._r[i] << self.cols) for i in range(self.rows)]
-        return BitMatrix(self.rows, self.cols + other.cols, shifted)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> BitMatrix:
-        cols = list(col_idx)
-        for i in row_idx:
-            if not 0 <= i < self.rows:
-                raise IndexError(f"row {i} out of range")
-        for j in cols:
-            if not 0 <= j < self.cols:
-                raise IndexError(f"column {j} out of range")
-        if cols and all(cols[k + 1] == cols[k] + 1 for k in range(len(cols) - 1)):
-            # contiguous window: one shift-and-mask per row
-            start, width = cols[0], len(cols)
-            m = _mask(width)
-            out = [(self._r[i] >> start) & m for i in row_idx]
-        else:
-            out = []
-            for i in row_idx:
-                src = self._r[i]
-                bits = 0
-                for k, j in enumerate(cols):
-                    if (src >> j) & 1:
-                        bits |= 1 << k
-                out.append(bits)
-        return BitMatrix(len(row_idx), len(cols), out)
-
-    def xor(self, other: BitMatrix) -> BitMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return BitMatrix(
-            self.rows, self.cols, [a ^ b for a, b in zip(self._r, other._r)]
-        )
-
-    __xor__ = xor
-
-    def permute_rows(self, perm: Sequence[int]) -> BitMatrix:
-        """Row i of the result is row perm[i] of self."""
-        return BitMatrix(len(perm), self.cols, [self._r[p] for p in perm])
+        """Entry (a, b) of the result is entry (row_idx[a], col_idx[b])."""
+        picked = []
+        for kind, idx, size in (("row", row_idx, self.rows), ("column", col_idx, self.cols)):
+            idx = np.asarray(idx, dtype=np.intp).reshape(-1)
+            bad = idx[(idx < 0) | (idx >= size)]
+            if bad.size:
+                raise IndexError(f"{kind} {bad[0]} out of range")
+            picked.append(idx)
+        rows, cols = picked
+        bits = np.unpackbits(self._packed[rows], axis=1, count=self.cols, bitorder="little")
+        return BitMatrix.from_bool_array(bits.take(cols, axis=1))
 
     def conjugate(self, perm: Sequence[int]) -> BitMatrix:
         """Simultaneous row/column reindexing: out[i][j] = self[perm[i]][perm[j]]."""
         if self.rows != self.cols or len(perm) != self.rows:
             raise ValueError("conjugation needs a square matrix and a full permutation")
-        idx = np.asarray(perm, dtype=np.intp)
-        arr = self.to_bool_array()
-        return BitMatrix.from_bool_array(arr[np.ix_(idx, idx)])
-
-    def _row_bytes(self) -> np.ndarray:
-        """uint8 array whose row i holds the little-endian bytes of row i."""
-        return _pack_rows(self._r, self.cols)
+        return self.submatrix(perm, perm)
 
     def to_bool_array(self) -> np.ndarray:
         """Dense uint8 array with arr[i, j] = entry (i, j)."""
-        return np.unpackbits(self._row_bytes(), axis=1, count=self.cols, bitorder="little")
+        return np.unpackbits(self._packed, axis=1, count=self.cols, bitorder="little")
 
     @classmethod
     def from_bool_array(cls, arr: np.ndarray) -> BitMatrix:
@@ -294,16 +276,7 @@ class BitMatrix:
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
-        return cls._from_row_bytes(np.packbits(arr, axis=1, bitorder="little"), arr.shape[1])
-
-    @classmethod
-    def _from_row_bytes(cls, packed: np.ndarray, cols: int) -> BitMatrix:
-        """Inverse of _row_bytes: row i holds the little-endian bytes of
-        packed[i]."""
-        rows, n_bytes = packed.shape
-        data = packed.tobytes()
-        out = [int.from_bytes(data[i * n_bytes : (i + 1) * n_bytes], "little") for i in range(rows)]
-        return cls(rows, cols, out)
+        return cls._wrap(np.packbits(arr, axis=1, bitorder="little"), arr.shape[1])
 
     def to_f2mat(self) -> str:
         # header and rows share one buffer that is decoded once, so no
@@ -360,18 +333,18 @@ class BitMatrix:
             packed[lo:hi] = np.packbits(chars & 1, axis=1, bitorder="little")
         if k < rows:
             raise F2MatFormatError(f"row {k + 1} is not {cols} characters of 0/1")
-        return cls._from_row_bytes(packed, cols)
+        return cls._wrap(packed, cols)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BitMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._r == other._r
+            and self._packed.tobytes() == other._packed.tobytes()
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, tuple(self._r)))
+        return hash((self.rows, self.cols, self._packed.tobytes()))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
@@ -469,42 +442,49 @@ def _byte_rank(packed: np.ndarray) -> int:
     return r
 
 
-def rank_of_row_ints(row_ints: Sequence[int], cols: int) -> int:
-    """GF(2) rank of packed rows of width cols.
+def rank_of_row_ints(row_ints: Sequence[int] | np.ndarray, cols: int) -> int:
+    """GF(2) rank of rows of width cols, given as integers (bit j is
+    column j) or as the packed rows of a BitMatrix.
 
-    Fewer than BYTE_RANK_MIN_ROWS rows go through echelon; from that many
-    on, the rows are packed into ceil(cols / 8) bytes each and ranked by
-    _byte_rank.  Raises ValueError if a row is negative or has a bit at or
-    above cols.
+    Fewer than BYTE_RANK_MIN_ROWS rows go through echelon on integers; from
+    that many on, _byte_rank ranks a copy of the packed rows.  Raises
+    ValueError if an integer row is negative or has a bit at or above cols.
     """
-    if any(r >> cols for r in row_ints):
+    if isinstance(row_ints, np.ndarray):
+        if len(row_ints) >= BYTE_RANK_MIN_ROWS:
+            return _byte_rank(row_ints.copy())
+        row_ints = _ints(row_ints)
+    elif len(row_ints) >= BYTE_RANK_MIN_ROWS:
+        return _byte_rank(BitMatrix(len(row_ints), cols, row_ints).packed.copy())
+    elif any(r >> cols for r in row_ints):
         raise ValueError("row bits outside declared width")
-    if len(row_ints) < BYTE_RANK_MIN_ROWS:
-        return len(echelon(row_ints)[1])
-    return _byte_rank(_pack_rows(row_ints, cols))
+    return len(echelon(row_ints)[1])
 
 
 def rank(m: BitMatrix) -> int:
     """Dimension of the row space of m over GF(2)."""
-    return rank_of_row_ints(m._r, m.cols)
+    return rank_of_row_ints(m.packed, m.cols)
 
 
 def row_space_contains(m: BitMatrix, v: BitVector) -> bool:
     """True iff v is a GF(2) combination of the rows of m."""
     if v.n != m.cols:
         raise ValueError(f"vector length {v.n} does not match {m.cols} columns")
-    return _reduce(echelon(m._r)[0], v.bits) == 0
+    return _reduce(echelon(m.row_ints())[0], v.bits) == 0
 
 
 def subspace_basis(m: BitMatrix) -> list[int] | None:
     """Row indices of the first-appearance basis if the rows list a linear
     subspace exactly once each, else None."""
-    distinct = set(m._r)
     # distinct rows in a span of 2^rank vectors list all of it, zero
     # included; testing for the zero row first skips most eliminations
-    if len(distinct) != m.rows or 0 not in distinct:
+    # and every conversion to integers
+    if m.packed.any(axis=1).all():
         return None
-    basis = echelon(m._r)[1]
+    rows = m.row_ints()
+    if len(set(rows)) != m.rows:
+        return None
+    basis = echelon(rows)[1]
     return basis if m.rows == 1 << len(basis) else None
 
 
@@ -522,13 +502,10 @@ def _xor_rows(row_ints: Sequence[int], x: int) -> int:
     return acc
 
 
-def symplectic_coordinates(
-    m: BitMatrix, basis: list[int] | None = None, rows: np.ndarray | None = None
-) -> np.ndarray | None:
+def symplectic_coordinates(m: BitMatrix, basis: list[int] | None = None) -> np.ndarray | None:
     """One packed code per row of a symmetric zero-diagonal m: the row's
     coordinates in a symplectic basis, or None when subspace_basis(m) is None.
-    A caller that already holds subspace_basis(m) passes it as basis, and
-    one that holds m._row_bytes() passes it as rows.
+    A caller that already holds subspace_basis(m) passes it as basis.
 
     With P the first-appearance basis and k_i the coordinates of row i in
     it, entry (i, j) is k_i^T M k_j where M = m[P, P], a nondegenerate
@@ -549,8 +526,7 @@ def symplectic_coordinates(
         return None
     n = len(basis)
     p = np.asarray(basis, dtype=np.intp)
-    rows = m._row_bytes() if rows is None else rows
-    y = ((rows[:, p >> 3] >> (p & 7)) & 1).astype(np.int64)
+    y = ((m.packed[:, p >> 3] >> (p & 7)) & 1).astype(np.int64)
     form = y[p]
     if not np.array_equal(form, form.T) or form.diagonal().any():
         raise ValueError("basis block is not an alternating form")

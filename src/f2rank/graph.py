@@ -86,20 +86,19 @@ class Graph:
     def order(self) -> int:
         return self.adj.rows
 
-    def row_ints(self) -> list[int]:
-        return self.adj.row_ints()
-
     def neighbors(self, v: int) -> list[int]:
         return self.adj.row(v).support(1)
 
     def degree(self, v: int) -> int:
-        return self.adj.popcount_row(v)
+        if not 0 <= v < self.order:
+            raise IndexError(f"row {v} out of range")
+        return int(np.bitwise_count(self.adj.packed[v]).sum())
 
     def common_neighbors(self, u: int, v: int) -> int:
         return (self.adj.row_int(u) & self.adj.row_int(v)).bit_count()
 
     def edge_count(self) -> int:
-        return sum(self.adj.popcount_row(i) for i in range(self.order)) // 2
+        return int(np.bitwise_count(self.adj.packed).sum()) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -114,7 +113,7 @@ class Graph:
         return out
 
     def isolated_vertices(self) -> list[int]:
-        return [i for i in range(self.order) if self.adj.row_int(i) == 0]
+        return np.flatnonzero(~self.adj.packed.any(axis=1)).tolist()
 
     def add_isolated_vertex(self) -> Graph:
         n = self.order
@@ -131,7 +130,7 @@ class Graph:
         return Graph(self.adj.submatrix(keep, keep))
 
     def rank(self) -> int:
-        return rank_of_row_ints(self.adj.row_ints(), self.order)
+        return rank_of_row_ints(self.adj.packed, self.order)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.adj == other.adj
@@ -143,6 +142,13 @@ class Graph:
         return f"Graph(order={self.order}, edges={self.edge_count()})"
 
 
+def _distinct_rows(packed: np.ndarray) -> int:
+    """Number of distinct rows of a C-contiguous 2-D uint8 array."""
+    if not packed.shape[1]:
+        return min(len(packed), 1)
+    return np.unique(packed.view(np.dtype((np.void, packed.shape[1])))).size
+
+
 def is_twin_free(g: Graph) -> bool:
     """No two vertices share an identical neighbour set.
 
@@ -150,16 +156,20 @@ def is_twin_free(g: Graph) -> bool:
     already forces u and v non-adjacent (u in N(v) would put u in N(u)),
     so adjacent twins need no separate treatment.
     """
-    rows = g.adj.row_ints()
-    return len(set(rows)) == len(rows)
+    return _distinct_rows(g.adj.packed) == g.order
 
 
 def is_negation_free(g: Graph) -> bool:
-    """No neighbour set is the complement (within V) of another."""
-    n = g.order
-    full = (1 << n) - 1
-    rows = set(g.adj.row_ints())
-    return not any((r ^ full) in rows for r in rows)
+    """No neighbour set is the complement (within V) of another.
+
+    A row and its complement differ in column 0, so keying each row by
+    whichever of the two has column 0 clear maps two distinct rows to one
+    key exactly when they are complements.
+    """
+    rows = g.adj.packed
+    full = BitMatrix(1, g.order, [(1 << g.order) - 1]).packed
+    keys = rows ^ (rows[:, :1] & 1) * full
+    return _distinct_rows(keys) == _distinct_rows(rows)
 
 
 def line_graph(g: Graph) -> Graph:

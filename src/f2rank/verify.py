@@ -193,13 +193,10 @@ def _scan(k: _Gram, core: np.ndarray) -> _Scan:
     return _Scan(hadamard, hist)
 
 
-def _standard_form(
-    a: BitMatrix, codes: np.ndarray, rows: np.ndarray | None = None
-) -> tuple[_Gram, _Scan] | None:
+def _standard_form(a: BitMatrix, codes: np.ndarray) -> tuple[_Gram, _Scan] | None:
     """The degrees and the _Scan of a, read off its codes, if the codes list
     range(order) once each and entry (i, j) is parity(c_i & J c_j), with J
-    swapping code bits 2t and 2t + 1; else None.  A caller that holds
-    a._row_bytes() passes it as rows.
+    swapping code bits 2t and 2t + 1; else None.
 
     Row i of that form is the XOR, over the set bits b of c_i, of the
     packed row holding bit b ^ 1 of every code.  One table of those XORs
@@ -222,7 +219,7 @@ def _standard_form(
         for col in flipped[lo : lo + 8]:
             table = np.concatenate([table, table ^ col])
         tables.append(table)
-    rows = a._row_bytes() if rows is None else rows
+    rows = a.packed
     for lo in range(0, order, BLOCK_ROWS):
         block = codes[lo : lo + BLOCK_ROWS]
         want = np.zeros((block.size, rows.shape[1]), dtype=np.uint8)
@@ -434,12 +431,9 @@ def _block_identity(m: np.ndarray, v: np.ndarray) -> bool:
     )
 
 
-def _coset_order(
-    a: BitMatrix | Graph, basis: list[int] | None, rows: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _coset_order(a: BitMatrix | Graph, basis: list[int] | None) -> tuple[np.ndarray, np.ndarray]:
     """The coset permutation of a subspace matrix and the matrix conjugated
-    by it, as a dense 0/1 array whose level-1 block identity holds.  rows,
-    when given, is a._row_bytes().
+    by it, as a dense 0/1 array whose level-1 block identity holds.
 
     With P the first-appearance basis and k_i the coordinates of row i in
     it, row i on the columns P is y_i = M k_i with M = a[P, P] invertible.
@@ -456,7 +450,7 @@ def _coset_order(
         raise NotSubspaceMatrixError("rows do not form a subspace without repetition")
     if not basis:
         raise NotSubspaceMatrixError("decomposition needs rank >= 1")
-    rows = a._row_bytes() if rows is None else rows
+    rows = a.packed
     p = np.asarray(basis, dtype=np.intp)
     y = ((rows[:, p >> 3] >> (p & 7)) & 1).astype(np.int64) @ (1 << np.arange(p.size))
     span = np.zeros(1, dtype=np.int64)
@@ -504,7 +498,7 @@ def _vector(v: np.ndarray) -> BitVector:
 
 
 def decomposition_invariants(
-    a: BitMatrix | Graph, *, basis: list[int] | None = None, rows: np.ndarray | None = None
+    a: BitMatrix | Graph, *, basis: list[int] | None = None
 ) -> VerificationReport:
     """Run both decomposition levels and check every block-structure claim.
 
@@ -512,12 +506,11 @@ def decomposition_invariants(
     second half is checked equal); x, y are the first and second halves
     of u; w is the first quarter of reordered row 2^(n-2), and (s, t) are
     that row's third and fourth quarters.  A caller that already holds
-    subspace_basis(a) passes it as basis, and the packed rows
-    (_row_bytes) as rows.
+    subspace_basis(a) passes it as basis.
     """
     report = VerificationReport()
     try:
-        _, r = _coset_order(a, basis, rows)
+        _, r = _coset_order(a, basis)
     except (NotSubspaceMatrixError, ValueError) as exc:
         report.add("preconditions", False, str(exc))
         return report
@@ -611,7 +604,7 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
     power of two.  The spectrum payload (and the analytic comparison) is
     computed only for orders up to SPECTRUM_CAP.  One subspace_basis feeds
     the rank, the subspace check, the symplectic coordinates and the
-    decomposition; the rows are packed into bytes once, for the last three.
+    decomposition.
     The pairwise, regularity and Hadamard checks read the
     standard form when _standard_form certifies it, else one _scan of G.
     """
@@ -634,9 +627,8 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
     else:
         report.add("rank", False, f"rank {r}, no expected value (order not a power of two)")
     report.add("rows_form_subspace", basis is not None, "")
-    rows = None if basis is None else g.adj._row_bytes()
-    codes = None if basis is None else symplectic_coordinates(g.adj, basis, rows)
-    form = None if codes is None else _standard_form(g.adj, codes, rows)
+    codes = None if basis is None else symplectic_coordinates(g.adj, basis)
+    form = None if codes is None else _standard_form(g.adj, codes)
     k = _gram(g) if form is None else form[0]
     # the core drops the isolated vertices, which changes no co-degree
     core = np.flatnonzero(k.degrees)
@@ -730,6 +722,6 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
             f"{swapped_trace:g} and is rejected",
         )
 
-    decomp = decomposition_invariants(g, basis=basis, rows=rows)
+    decomp = decomposition_invariants(g, basis=basis)
     report.extend(decomp, prefix="decomposition.")
     return FullVerification(report=report, rank=r, srg=srg, spectrum=spectrum)

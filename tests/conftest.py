@@ -10,6 +10,12 @@ def random_bitmatrix(rng: random.Random, rows: int, cols: int) -> BitMatrix:
     return BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
 
 
+def xor_matrices(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """Entrywise sum over GF(2) of two matrices of one shape."""
+    assert (a.rows, a.cols) == (b.rows, b.cols)
+    return BitMatrix(a.rows, a.cols, [x ^ y for x, y in zip(a.row_ints(), b.row_ints())])
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p

@@ -30,7 +30,7 @@ from f2rank.verify import (
     full_report,
 )
 
-from conftest import relabel
+from conftest import relabel, xor_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +72,10 @@ def _oracle_coset_decompose(a: BitMatrix | Graph) -> CosetDecomposition:
     u_rows = _oracle_repeat_rows(u, half)
     u_cols = u_rows.transpose()
     if not (
-        reordered.submatrix(idx_top, idx_bot) == top_block ^ u_cols
-        and reordered.submatrix(idx_bot, idx_top) == top_block ^ u_rows
-        and reordered.submatrix(idx_bot, idx_bot) == top_block ^ u_rows ^ u_cols
+        reordered.submatrix(idx_top, idx_bot) == xor_matrices(top_block, u_cols)
+        and reordered.submatrix(idx_bot, idx_top) == xor_matrices(top_block, u_rows)
+        and reordered.submatrix(idx_bot, idx_bot)
+        == xor_matrices(xor_matrices(top_block, u_rows), u_cols)
     ):
         raise AssertionError("coset block identity violated")
     return CosetDecomposition(perm, basis, reordered, top_block, u)
@@ -119,9 +120,9 @@ def _oracle_decomposition_invariants(a: BitMatrix | Graph) -> VerificationReport
     idx_hi = list(range(q, 2 * q))
     second_ok = (
         mid.slice(q, 2 * q) == w
-        and b.submatrix(idx_q, idx_hi) == c ^ w_cols
-        and b.submatrix(idx_hi, idx_q) == c ^ w_rows
-        and b.submatrix(idx_hi, idx_hi) == c ^ w_rows ^ w_cols
+        and b.submatrix(idx_q, idx_hi) == xor_matrices(c, w_cols)
+        and b.submatrix(idx_hi, idx_q) == xor_matrices(c, w_rows)
+        and b.submatrix(idx_hi, idx_hi) == xor_matrices(xor_matrices(c, w_rows), w_cols)
     )
     report.add("second_level_block_identity", second_ok, "B = [C | C+W^T ; C+W | C+W+W^T]")
 
@@ -227,10 +228,10 @@ def _both_paths(monkeypatch, g: Graph, codes=None):
     gram = verify._gram
     monkeypatch.setattr(verify, "_gram", lambda g: grams.append(g.order) or gram(g))
     if codes is not None:
-        monkeypatch.setattr(verify, "symplectic_coordinates", lambda m, basis=None, rows=None: codes)
+        monkeypatch.setattr(verify, "symplectic_coordinates", lambda m, basis=None: codes)
     first = full_report(g)
     built = len(grams)
-    monkeypatch.setattr(verify, "symplectic_coordinates", lambda m, basis=None, rows=None: None)
+    monkeypatch.setattr(verify, "symplectic_coordinates", lambda m, basis=None: None)
     second = full_report(g)
     monkeypatch.undo()
     assert len(grams) == built + 1
@@ -284,13 +285,3 @@ def test_family_report_builds_no_square_array(member_4096):
         tracemalloc.stop()
     assert peak < 3 * n * n
 
-
-def test_family_report_packs_rows_once(monkeypatch):
-    # the codes, the standard-form check and the decomposition share one
-    # packing of the rows
-    g = relabel(g2_power(5), random.Random(57))  # above SPECTRUM_CAP, so no eigensolver
-    calls = []
-    pack = BitMatrix._row_bytes
-    monkeypatch.setattr(BitMatrix, "_row_bytes", lambda m: calls.append(m.rows) or pack(m))
-    assert full_report(g).report.passed
-    assert calls == [g.order]

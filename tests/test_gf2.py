@@ -15,7 +15,6 @@ from f2rank.gf2 import (
     BitVector,
     F2MatFormatError,
     _byte_rank,
-    _pack_rows,
     echelon,
     rank,
     rank_of_row_ints,
@@ -88,11 +87,92 @@ def test_matrix_constructors_and_access():
     assert m.get(0, 1) == 1 and m.get(0, 0) == 0
     assert m.row(2).to01() == "110"
     assert BitMatrix.identity(3).row_ints() == [1, 2, 4]
-    assert BitMatrix.all_ones(2, 3).row_ints() == [7, 7]
+    assert BitMatrix(2, 3, [7, 7]).row_ints() == [7, 7]
     with pytest.raises(IndexError):
         m.get(3, 0)
     with pytest.raises(IndexError):
         m.set_bit(0, 3)
+    # a negative row; a bit at cols inside the last byte's padding; a bit
+    # at cols that needs a byte of its own
+    for cols, bad in ((3, -1), (3, 1 << 3), (8, 1 << 8)):
+        with pytest.raises(ValueError, match="^row bits outside declared width$"):
+            BitMatrix(2, cols, [0, bad])
+    assert BitMatrix(1, 8, [255]).row_ints() == [255]
+
+
+# widths on both sides of a byte and of a 64-bit word, and any other
+_WIDTHS = st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65]) | st.integers(0, 130)
+
+
+def _assert_storage_invariants(m: BitMatrix) -> None:
+    """The packed rows are a read-only C-contiguous uint8 array of the
+    declared shape with zero padding bits, and == and hash agree with the
+    integer rows."""
+    p = m.packed
+    assert p.dtype == np.uint8 and p.flags.c_contiguous and not p.flags.writeable
+    assert p.shape == ((m.rows, (m.cols + 7) // 8) if m.rows else (0, 0))
+    assert not (p[:, -1:] >> (m.cols % 8 or 8)).any(), "padding bits must stay zero"
+    with pytest.raises(ValueError, match="read-only"):
+        p[...] = 0
+    ints = m.row_ints()
+    assert len(ints) == m.rows and all(0 <= r < 1 << m.cols for r in ints)
+    copy = BitMatrix(m.rows, m.cols, ints)
+    assert copy == m and hash(copy) == hash(m)
+    assert copy.to_bool_array().tolist() == [[(r >> j) & 1 for j in range(m.cols)] for r in ints]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12), _WIDTHS, st.randoms(use_true_random=False))
+def test_storage_invariants(rows, cols, rnd):
+    ints = [rnd.getrandbits(cols) for _ in range(rows)]
+    dense = np.array([[(r >> j) & 1 for j in range(cols)] for r in ints], dtype=bool)
+    dense = dense.reshape(rows, cols)
+    m = BitMatrix(rows, cols, ints)
+    same = [m, BitMatrix.from_bool_array(dense), BitMatrix.from_f2mat(m.to_f2mat())]
+    if rows:
+        same.append(BitMatrix.from_strings([m.row(i).to01() for i in range(rows)]))
+    for x in same + [BitMatrix.zeros(rows, cols), BitMatrix.identity(cols)]:
+        _assert_storage_invariants(x)
+        assert (x == m) == ((x.rows, x.cols, x.row_ints()) == (rows, cols, ints))
+    assert all(x == m for x in same)
+    lo = rnd.randrange(cols + 1)
+    window = list(range(lo, rnd.randrange(lo, cols + 1)))
+    picked = [rnd.randrange(rows) for _ in range(rnd.randrange(5))] if rows else []
+    scattered = [rnd.randrange(cols) for _ in range(rnd.randrange(10))] if cols else []
+    perm = rnd.sample(range(cols), cols)
+    square = BitMatrix(cols, cols, [rnd.getrandbits(cols) for _ in range(cols)])
+    ops = [
+        (m.submatrix(list(range(rows)), window), dense[:, window]),
+        (m.submatrix(picked, scattered), dense[np.ix_(picked, scattered)]),
+        (m.transpose(), dense.T),
+        (square.conjugate(perm), square.to_bool_array()[np.ix_(perm, perm)]),
+    ]
+    if rows and cols:
+        i, j = rnd.randrange(rows), rnd.randrange(cols)
+        for value in (0, 1):
+            want = dense.copy()
+            want[i, j] = value
+            ops.append((m.set_bit(i, j, value), want))
+    for x, want in ops:
+        _assert_storage_invariants(x)
+        assert x.to_bool_array().tolist() == want.astype(np.uint8).tolist()
+    _assert_storage_invariants(m)
+    assert m.row_ints() == ints
+
+
+@pytest.mark.parametrize("rows", [BYTE_RANK_MIN_ROWS - 1, BYTE_RANK_MIN_ROWS, 400])
+@pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 63, 64, 65, 400])
+def test_rank_leaves_matrix_unchanged(rows, cols):
+    rng = random.Random(rows * 1000 + cols)
+    ints = [rng.getrandbits(cols) for _ in range(rows)]
+    m = BitMatrix(rows, cols, ints)
+    before = m.packed.copy()
+    r = rank(m)
+    assert r == len(echelon(ints)[1])
+    assert np.array_equal(m.packed, before) and m.row_ints() == ints
+    assert rank_of_row_ints(m.packed, cols) == r
+    assert np.array_equal(m.packed, before)
+    _assert_storage_invariants(m)
 
 
 def test_transpose_involution():
@@ -102,13 +182,15 @@ def test_transpose_involution():
         assert m.transpose().transpose() == m
 
 
-def test_hconcat_submatrix_xor():
-    i2 = BitMatrix.identity(2)
-    h = i2.hconcat(i2)
-    assert rank(h) == 2
-    assert h.submatrix([0, 1], [2, 3]) == i2
-    m = BitMatrix.from_strings(["01", "11"])
-    assert (m ^ m) == BitMatrix.zeros(2, 2)
+def test_submatrix_windows():
+    m = BitMatrix.from_strings(["1010", "0101"])
+    assert m.submatrix([0, 1], [2, 3]) == BitMatrix.identity(2)
+    assert m.submatrix([1, 0], [3, 0, 0]) == BitMatrix.from_strings(["100", "011"])
+    assert m.submatrix([], [1]) == BitMatrix(0, 1)
+    with pytest.raises(IndexError, match="^row 2 out of range$"):
+        m.submatrix([0, 2, -1], [0])
+    with pytest.raises(IndexError, match="^column -1 out of range$"):
+        m.submatrix([0], [-1, 4])
 
 
 def test_conjugate_matches_naive():
@@ -161,7 +243,8 @@ def test_rank_invariances():
         r = rank(m)
         perm = list(range(n))
         rng.shuffle(perm)
-        assert rank(m.permute_rows(perm)) == r
+        rows = m.row_ints()
+        assert rank(BitMatrix(n, n, [rows[p] for p in perm])) == r
         assert rank(m.submatrix(list(range(n)), perm)) == r
         i, j = rng.sample(range(n), 2)
         added = list(m.row_ints())
@@ -261,7 +344,8 @@ def _rank_input(rnd: random.Random, rows: int, cols: int, kind: str) -> list[int
 )
 def test_byte_rank_matches_echelon(rows, cols, kind, rnd):
     row_ints = _rank_input(rnd, rows, cols, kind)
-    packed = _pack_rows(row_ints, cols)
+    data = np.array([[(r >> j) & 1 for j in range(cols)] for r in row_ints], dtype=np.uint8)
+    packed = np.packbits(data.reshape(rows, cols), axis=1, bitorder="little")
     assert packed.shape == (rows, (cols + 7) // 8)
     assert _byte_rank(packed) == len(echelon(row_ints)[1])
 

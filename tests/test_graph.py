@@ -194,7 +194,7 @@ def test_line_graph_matches_pairwise_definition():
             with pytest.raises(ValueError, match="at least one edge"):
                 line_graph(g)
             continue
-        assert line_graph(g).row_ints() == _line_graph_pairwise(g)
+        assert line_graph(g).adj.row_ints() == _line_graph_pairwise(g)
     for n in (0, 1, 5):
         with pytest.raises(ValueError, match="at least one edge"):
             line_graph(Graph.empty(n))

@@ -20,7 +20,7 @@ from f2rank.products import (
 )
 from f2rank.constructions import g2
 
-from conftest import random_bitmatrix, random_graph
+from conftest import random_bitmatrix, random_graph, xor_matrices
 
 
 def test_sign_map_displayed_matrix():
@@ -60,8 +60,8 @@ def test_parity_product_identities():
     b = random_bitmatrix(rng, 3, 3)
     assert parity_product(BitMatrix.from_strings(["0"]), b) == b
     complemented = parity_product(BitMatrix.from_strings(["1"]), b)
-    full = BitMatrix.all_ones(3, 3)
-    assert complemented == b ^ full
+    full = BitMatrix.from_bool_array(np.ones((3, 3), dtype=bool))
+    assert complemented == xor_matrices(b, full)
 
 
 @settings(max_examples=80)

@@ -312,7 +312,7 @@ def _isomorphic_recursive(g: Graph, h: Graph) -> tuple[bool, list[int] | None]:
         by_color.setdefault(colors_h[u], []).append(u)
     candidates = [by_color.get(colors_g[v], []) for v in range(n)]
     order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
-    rows_g, rows_h = g.row_ints(), h.row_ints()
+    rows_g, rows_h = g.adj.row_ints(), h.adj.row_ints()
     mapping = [-1] * n
     used = [False] * n
 
