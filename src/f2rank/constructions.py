@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .gf2 import BitMatrix
+import numpy as np
+
+from .gf2 import BitMatrix, standard_form_blocks
 from .graph import Graph, line_graph
 from .products import parity_product_graph
 
@@ -22,15 +24,28 @@ def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, list(combinations(range(n), 2)))
 
 
+# code bits (2t, 2t + 1) of base-4 digit t: 0 -> 01, 1 -> 10, 2 -> 11, 3 -> 00
+_G2_CODES = np.array([2, 1, 3, 0])
+
+
 def g2_power(m: int) -> Graph:
-    """Left-associated parity-product power of g2: order 4^m, rank 2m."""
+    """Left-associated parity-product power of g2: order 4^m, rank 2m.
+
+    Vertex v of the power is the tuple of base-4 digits of v, and two
+    vertices are adjacent iff an odd number of digit pairs are adjacent in
+    g2.  Mapping g2's triangle to the three nonzero vectors of GF(2)^2 and
+    its isolated vertex to zero makes each digit pair's adjacency the
+    standard alternating form on two bits, so the power is the standard
+    form on the 2m-bit codes, built directly on packed rows.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    base = g2()
-    g = base
-    for _ in range(m - 1):
-        g = parity_product_graph(g, base)
-    return g
+    v = np.arange(4**m)
+    codes = np.zeros_like(v)
+    for t in range(m):
+        codes |= _G2_CODES[(v >> 2 * t) & 3] << 2 * t
+    (packed,) = standard_form_blocks(codes, 2 * m, v.size)
+    return Graph(BitMatrix.from_packed(packed, v.size))
 
 
 def linegraph_clique_plus_isolated(k: int) -> Graph:

@@ -11,7 +11,7 @@ beyond the declared length are always zero.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,7 +20,15 @@ class F2MatFormatError(ValueError):
     """Raised when f2mat text input is malformed."""
 
 
-_PARSE_BYTES = 1 << 20  # f2mat text encoded and checked per block
+_PARSE_BYTES = 1 << 20  # f2mat text checked and packed per block
+
+# (shift, mask) of the three delta swaps that move bit 8r + c of a
+# little-endian 64-bit word to bit 8c + r: an 8x8 bit transpose (0-d
+# arrays, which numpy applies faster than its scalars)
+_TRANSPOSE_SWAPS = [
+    (np.array(shift, dtype=np.uint64), np.array(mask, dtype=np.uint64))
+    for shift, mask in [(7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)]
+]
 
 
 def _mask(n: int) -> int:
@@ -193,6 +201,17 @@ class BitMatrix:
         return m
 
     @classmethod
+    def from_packed(cls, packed: np.ndarray, cols: int) -> BitMatrix:
+        """The matrix whose row i is packed[i], a uint8 array laid out as
+        BitMatrix.packed.  The matrix takes packed over (it becomes
+        read-only) unless it must copy it into C order."""
+        if packed.dtype != np.uint8 or packed.ndim != 2 or packed.shape[1] != (cols + 7) // 8:
+            raise ValueError(f"packed rows of a {cols}-column matrix need {(cols + 7) // 8} bytes")
+        if cols % 8 and (packed[:, -1] >> cols % 8).any():
+            raise ValueError("row bits outside declared width")
+        return cls._wrap(packed, cols)
+
+    @classmethod
     def from_rows(cls, rows: Sequence[BitVector]) -> BitMatrix:
         if not rows:
             return cls(0, 0)
@@ -245,7 +264,36 @@ class BitMatrix:
         return BitMatrix._wrap(packed, self.cols)
 
     def transpose(self) -> BitMatrix:
-        return BitMatrix.from_bool_array(self.to_bool_array().T)
+        """8x8 bit blocks moved as 64-bit words.
+
+        Word (a, b) holds byte b of rows 8a..8a+7, row 8a + k in byte k, so
+        its bit 8k + c is entry (8a + k, 8b + c).  Three delta swaps move
+        that bit to 8c + k; byte c of the word is then byte a of row 8b + c
+        of the transpose.  Rows past self.rows are zero, so the padding
+        bits of the result are too.
+        """
+        rows, n_bytes = self.rows, self._packed.shape[1]
+        if not n_bytes:  # no rows or no columns
+            return BitMatrix(self.cols, rows)
+        blocks = -(-rows // 8)
+        packed = self._packed
+        if rows % 8:
+            packed = np.concatenate([packed, np.zeros((-rows % 8, n_bytes), dtype=np.uint8)])
+        grid = packed.reshape(blocks, 8, n_bytes).transpose(0, 2, 1).copy()
+        x = grid.view("<u8").reshape(blocks, n_bytes)
+        t = np.empty_like(x)
+        for shift, mask in _TRANSPOSE_SWAPS:
+            np.right_shift(x, shift, out=t)
+            t ^= x
+            t &= mask
+            x ^= t
+            t <<= shift
+            x ^= t
+        # the word grid transposed into t, its bytes into grid's memory
+        np.copyto(t.reshape(n_bytes, blocks), x.T)
+        out = grid.reshape(n_bytes, 8, blocks)
+        np.copyto(out, t.view(np.uint8).reshape(n_bytes, blocks, 8).transpose(0, 2, 1))
+        return BitMatrix._wrap(out.reshape(8 * n_bytes, blocks)[: self.cols], rows)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> BitMatrix:
         """Entry (a, b) of the result is entry (row_idx[a], col_idx[b])."""
@@ -282,57 +330,44 @@ class BitMatrix:
         # header and rows share one buffer that is decoded once, so no
         # copy of the whole text is made to join them
         header = f"f2mat {self.rows} {self.cols}\n".encode("ascii")
-        text = np.full(len(header) + self.rows * (self.cols + 1), ord("\n"), dtype=np.uint8)
+        text = np.empty(len(header) + self.rows * (self.cols + 1), dtype=np.uint8)
         text[: len(header)] = np.frombuffer(header, dtype=np.uint8)
-        # the '0'/'1' bytes of each row, then a newline column
+        # the '0'/'1' bytes of each row, unpacked a block of rows at a
+        # time, then a newline column
         image = text[len(header) :].reshape(self.rows, self.cols + 1)
-        np.add(self.to_bool_array(), ord("0"), out=image[:, : self.cols])
+        image[:, self.cols] = ord("\n")
+        step = max(_PARSE_BYTES // max(self.cols, 1), 1)
+        for lo in range(0, self.rows if self.cols else 0, step):
+            bits = np.unpackbits(self._packed[lo : lo + step], axis=1, count=self.cols, bitorder="little")
+            np.add(bits, ord("0"), out=image[lo : lo + step, : self.cols])
         return str(text, "ascii")
 
     @classmethod
-    def from_f2mat(cls, text: str) -> BitMatrix:
-        lines = text.split("\n")
-        if not lines or not lines[0].startswith("f2mat"):
+    def from_f2mat(cls, text: str | bytes) -> BitMatrix:
+        """Parse f2mat text, given as a str or as the bytes of an ASCII file
+        (a non-ASCII byte reads as one character that is not 0/1)."""
+        # the first line, without a copy of the rest
+        end = text.find(b"\n" if isinstance(text, bytes) else "\n")
+        header = text[: end if end >= 0 else len(text)]
+        if isinstance(header, bytes):
+            header = header.decode("ascii", "replace")
+        if not header.startswith("f2mat"):
             raise F2MatFormatError("missing 'f2mat' header")
-        header = lines[0].split(" ")
-        if len(header) != 3 or header[0] != "f2mat":
-            raise F2MatFormatError(f"bad header line: {lines[0]!r}")
+        fields = header.split(" ")
+        if len(fields) != 3 or fields[0] != "f2mat":
+            raise F2MatFormatError(f"bad header line: {header!r}")
         try:
-            rows, cols = int(header[1]), int(header[2])
+            rows, cols = int(fields[1]), int(fields[2])
         except ValueError as exc:
-            raise F2MatFormatError(f"bad header line: {lines[0]!r}") from exc
+            raise F2MatFormatError(f"bad header line: {header!r}") from exc
         if rows < 0 or cols < 0:
             raise F2MatFormatError("negative dimensions in header")
-        body = lines[1:]
-        if len(body) < rows:
-            raise F2MatFormatError(f"expected {rows} rows, found {len(body)}")
-        trailing = body[rows:]
-        if any(t != "" for t in trailing):
-            raise F2MatFormatError("trailing content after matrix rows")
-        # rows before the first one of the wrong length form a text image
-        # of width cols; its first byte other than '0'/'1' ("+1", "1_0" and
-        # " 1" included) names an earlier bad row ("replace" keeps one byte
-        # per character)
-        lengths = np.fromiter(map(len, body[:rows]), dtype=np.int64, count=rows)
-        k = int(np.append(lengths != cols, True).argmax())
-        if not rows:  # cols may exceed any array dimension
-            return cls(0, cols)
-        # rows before k are encoded and packed a block at a time, so no
-        # second copy of the whole text and no whole-matrix mask is made
-        step = max(_PARSE_BYTES // max(cols, 1), 1)
-        # with k = 0 no row has width cols, which may exceed any dimension
-        packed = np.empty((k, (cols + 7) // 8 if k else 0), dtype=np.uint8)
-        for lo in range(0, k if cols else 0, step):
-            hi = min(lo + step, k)
-            chars = np.frombuffer("".join(body[lo:hi]).encode("ascii", "replace"), dtype=np.uint8)
-            chars = chars.reshape(hi - lo, cols)
-            # '0' and '1' are adjacent codes, so min and max find a stray byte
-            if chars.min() < ord("0") or chars.max() > ord("1"):
-                k = lo + int(((chars | 1) != ord("1")).any(axis=1).argmax())
-                break
-            packed[lo:hi] = np.packbits(chars & 1, axis=1, bitorder="little")
-        if k < rows:
-            raise F2MatFormatError(f"row {k + 1} is not {cols} characters of 0/1")
+        # with no rows, cols may exceed any array dimension
+        packed = _read_image(text, len(header) + 1, rows, cols) if rows else None
+        if packed is None:
+            if isinstance(text, bytes):
+                text = text.decode("ascii", "replace")
+            packed = _parse_lines(text.split("\n")[1:], rows, cols)
         return cls._wrap(packed, cols)
 
     def __eq__(self, other: object) -> bool:
@@ -348,6 +383,72 @@ class BitMatrix:
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
+
+
+def _read_image(text: str | bytes, start: int, rows: int, cols: int) -> np.ndarray | None:
+    """The packed rows of well-formed f2mat text whose rows begin at
+    text[start], else None.
+
+    Well-formed rows are a fixed-width image: rows lines of cols '0'/'1'
+    bytes and a newline, then nothing but newlines.  A str is encoded once
+    ("replace" keeps one byte per character), bytes are read in place, and
+    the image is checked and packed a block of rows at a time, so no
+    second copy and no whole-matrix mask is made.
+    """
+    size = rows * (cols + 1)
+    if len(text) - start < size:
+        return None
+    if isinstance(text, str):
+        text = text.encode("ascii", "replace")
+    data = np.frombuffer(text, dtype=np.uint8)
+    if (data[start + size :] != ord("\n")).any():
+        return None
+    image = data[start : start + size].reshape(rows, cols + 1)
+    packed = np.empty((rows, (cols + 7) // 8), dtype=np.uint8)
+    step = max(_PARSE_BYTES // (cols + 1), 1)
+    for lo in range(0, rows, step):
+        block = image[lo : lo + step]
+        if (block[:, cols] != ord("\n")).any():
+            return None
+        chars = block[:, :cols]
+        # '0' and '1' are adjacent codes, so min and max find a stray byte
+        if cols and (chars.min() < ord("0") or chars.max() > ord("1")):
+            return None
+        packed[lo : lo + step] = np.packbits(chars & 1, axis=1, bitorder="little")
+    return packed
+
+
+def _parse_lines(body: list[str], rows: int, cols: int) -> np.ndarray:
+    """The packed rows of the f2mat lines after the header, or the
+    F2MatFormatError that names what is wrong with them."""
+    if len(body) < rows:
+        raise F2MatFormatError(f"expected {rows} rows, found {len(body)}")
+    trailing = body[rows:]
+    if any(t != "" for t in trailing):
+        raise F2MatFormatError("trailing content after matrix rows")
+    # rows before the first one of the wrong length form a text image
+    # of width cols; its first byte other than '0'/'1' ("+1", "1_0" and
+    # " 1" included) names an earlier bad row ("replace" keeps one byte
+    # per character)
+    lengths = np.fromiter(map(len, body[:rows]), dtype=np.int64, count=rows)
+    k = int(np.append(lengths != cols, True).argmax())
+    # rows before k are encoded and packed a block at a time, so no
+    # second copy of the whole text and no whole-matrix mask is made
+    step = max(_PARSE_BYTES // max(cols, 1), 1)
+    # with k = 0 no row has width cols, which may exceed any dimension
+    packed = np.empty((k, (cols + 7) // 8 if k else 0), dtype=np.uint8)
+    for lo in range(0, k if cols else 0, step):
+        hi = min(lo + step, k)
+        chars = np.frombuffer("".join(body[lo:hi]).encode("ascii", "replace"), dtype=np.uint8)
+        chars = chars.reshape(hi - lo, cols)
+        # '0' and '1' are adjacent codes, so min and max find a stray byte
+        if chars.min() < ord("0") or chars.max() > ord("1"):
+            k = lo + int(((chars | 1) != ord("1")).any(axis=1).argmax())
+            break
+        packed[lo:hi] = np.packbits(chars & 1, axis=1, bitorder="little")
+    if k < rows:
+        raise F2MatFormatError(f"row {k + 1} is not {cols} characters of 0/1")
+    return packed
 
 
 # ---------------------------------------------------------------------------
@@ -550,3 +651,29 @@ def symplectic_coordinates(m: BitMatrix, basis: list[int] | None = None) -> np.n
         pairs += [v, u]
     columns = (np.array(pairs, dtype=np.int64) >> np.arange(n)[:, None]) & 1
     return (y @ columns & 1) @ (1 << np.arange(n, dtype=np.int64))
+
+
+def standard_form_blocks(codes: np.ndarray, width: int, block_rows: int) -> Iterator[np.ndarray]:
+    """The packed rows of the standard alternating form on codes, block_rows
+    rows at a time.
+
+    codes holds one width-bit integer per vertex; entry (i, j) is
+    parity(c_i & J c_j), with J swapping code bits 2t and 2t + 1.  Row i
+    is then the XOR, over the set bits b of c_i, of the packed row holding
+    bit b ^ 1 of every code, read from one table of those XORs per byte of
+    code bits.
+    """
+    bits = (codes >> (np.arange(width) ^ 1)[:, None]) & 1
+    flipped = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    tables = []
+    for lo in range(0, width, 8):
+        table = np.zeros((1, flipped.shape[1]), dtype=np.uint8)
+        for col in flipped[lo : lo + 8]:
+            table = np.concatenate([table, table ^ col])
+        tables.append(table)
+    for lo in range(0, len(codes), block_rows):
+        block = codes[lo : lo + block_rows]
+        rows = np.zeros((block.size, flipped.shape[1]), dtype=np.uint8)
+        for t, table in enumerate(tables):
+            rows ^= table[(block >> 8 * t) & 255]
+        yield rows

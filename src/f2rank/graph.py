@@ -7,9 +7,12 @@ are set operations on packed rows.
 
 from __future__ import annotations
 
+import binascii
+import math
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .gf2 import BitMatrix, rank_of_row_ints
 
@@ -26,30 +29,30 @@ class Graph6FormatError(ValueError):
     """Raised when graph6 text input is malformed."""
 
 
-_TILE = 256
+_BIT = np.uint8(1) << np.arange(8, dtype=np.uint8)  # bit j of a packed byte
 
 
-def _first_offence(arr: np.ndarray) -> tuple[int, int] | None:
-    """First entry in row-major order that is a diagonal 1 or differs from
-    its transpose, or None.
+def first_offence(adj: BitMatrix) -> tuple[int, int] | None:
+    """First entry of a square adj in row-major order that is a diagonal 1
+    or differs from its transpose, or None.
 
     Offences come in mirrored pairs, so the first lies on or above the
-    diagonal.  Each band of _TILE rows is compared there tile by tile with
-    the transposed tiles below the diagonal, which keeps both reads in
-    cache where a whole transpose is a strided walk over the matrix.
+    diagonal.  It is the lowest set bit of the first nonzero byte of the
+    packed rows of adj XOR its transpose, with the diagonal of adj put in.
     """
-    n = len(arr)
-    for r0 in range(0, n, _TILE):
-        rows = slice(r0, r0 + _TILE)
-        band = np.empty((min(_TILE, n - r0), n - r0), dtype=bool)
-        for c0 in range(r0, n, _TILE):
-            tile = (rows, slice(c0, c0 + _TILE))
-            np.not_equal(arr[tile], arr[tile[::-1]].T, out=band[:, c0 - r0 : c0 - r0 + _TILE])
-        np.fill_diagonal(band, arr.diagonal()[rows])
-        if band.any():
-            i, j = divmod(int(band.argmax()), n - r0)
-            return r0 + i, r0 + j
-    return None
+    packed = adj.packed
+    diff = packed ^ adj.transpose().packed
+    # diagonal entry i is bit i % 8 of byte i * row_bytes + i // 8
+    v = np.arange(adj.rows)
+    at = v * diff.shape[1] + (v >> 3)
+    flat = diff.reshape(-1)
+    flat[at] |= packed.reshape(-1)[at] & _BIT[v & 7]
+    if not flat.any():
+        return None
+    k = int(flat.astype(bool).argmax())
+    i, byte = divmod(k, diff.shape[1])
+    low = int(flat[k])
+    return i, 8 * byte + (low & -low).bit_length() - 1
 
 
 class Graph:
@@ -60,7 +63,7 @@ class Graph:
     def __init__(self, adj: BitMatrix):
         if adj.rows != adj.cols:
             raise NotSymmetricError("adjacency matrix must be square")
-        offence = _first_offence(adj.to_bool_array())
+        offence = first_offence(adj)
         if offence is not None:
             i, j = offence
             if i == j:
@@ -196,6 +199,10 @@ def line_graph(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 _G6_MAX = 1 << 18
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_FROM_G6 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+_TRIANGLE_BLOCK = 1 << 20  # triangle entries unpacked at a time
 
 
 def _g6_size_bytes(n: int) -> bytes:
@@ -206,33 +213,58 @@ def _g6_size_bytes(n: int) -> bytes:
     return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
 
 
+def _triangle_blocks(n: int):
+    """Row ranges [lo, hi) of the strict lower triangle of order n, with
+    the mask j < i of each as a (hi - lo) x hi bool array.
+
+    A range holds about _TRIANGLE_BLOCK entries, and lo is a multiple of
+    16, where the triangle's row-major bit stream is at a byte boundary
+    (16a(16a - 1)/2 = 8a(16a - 1)), so each range packs to whole bytes of
+    that stream, the last one excepted.  Row i of a mask is the window at
+    n - i of n ones followed by n zeros, so the masks are views.
+    """
+    ones = np.arange(2 * n) < n
+    lo = 0
+    while lo < n:
+        hi = min(n, max(lo + 16, math.isqrt(2 * _TRIANGLE_BLOCK + lo * lo)) // 16 * 16)
+        yield lo, hi, sliding_window_view(ones, hi)[n - lo : n - hi : -1]
+        lo = hi
+
+
 def to_graph6(g: Graph) -> str:
     """Encode as a graph6 line (no header, no trailing newline).
 
     graph6 lists the upper triangle column by column, (0,1),(0,2),(1,2),...;
     in a symmetric matrix that is the strict lower triangle row by row.
+    That bit stream, big-endian and zero-padded to a whole number of 6-bit
+    groups, is the body read as base64 under the alphabet chr(63..126).
     """
     n = g.order
-    arr = g.adj.to_bool_array()
     n_bits = n * (n - 1) // 2
-    bits = np.zeros(n_bits + -n_bits % 6, dtype=bool)  # padded to 6-bit groups
-    start = 0
-    for i in range(n):
-        bits[start : start + i] = arr[i, :i]
-        start += i
-    body = (np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2) + 63
-    return (_g6_size_bytes(n) + body.tobytes()).decode("ascii")
+    stream = np.zeros(-(-n_bits // 24) * 3, dtype=np.uint8)  # whole base64 groups
+    for lo, hi, lower in _triangle_blocks(n):
+        rows = np.unpackbits(g.adj.packed[lo:hi, : (hi + 7) // 8], axis=1, count=hi, bitorder="little")
+        bits = np.packbits(rows[lower])
+        stream[lo * (lo - 1) // 16 :][: bits.size] = bits
+    body = binascii.b2a_base64(stream.tobytes(), newline=False).translate(_TO_G6)
+    return (_g6_size_bytes(n) + body[: -(-n_bits // 6)]).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:
-    """Decode a graph6 line; the optional '>>graph6<<' header is accepted."""
+    """Decode a graph6 line; the optional '>>graph6<<' header is accepted.
+
+    The body is base64 of the strict lower triangle's bit stream (see
+    to_graph6); the triangle is unpacked into packed rows L a block of rows
+    at a time, and the adjacency is L | L^T.
+    """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     if not s:
         raise Graph6FormatError("empty graph6 string")
+    raw = s.encode("ascii", "replace")
     # bytes below '?' wrap above 63
-    data = np.frombuffer(s.encode("ascii", "replace"), dtype=np.uint8) - 63
+    data = np.frombuffer(raw, dtype=np.uint8) - 63
     if not s.isascii() or (data > 63).any():
         raise Graph6FormatError("character out of graph6 range")
     if data[0] == 63:  # byte 126: long size form
@@ -240,27 +272,23 @@ def from_graph6(text: str) -> Graph:
             raise Graph6FormatError("truncated size field")
         hi, mid, lo = data[1:4].tolist()
         n = (hi << 12) | (mid << 6) | lo
-        body = data[4:]
+        body = raw[4:]
     else:
         n = int(data[0])
-        body = data[1:]
+        body = raw[1:]
     n_bits = n * (n - 1) // 2
     if len(body) != (n_bits + 5) // 6:
         raise Graph6FormatError(
             f"expected {(n_bits + 5) // 6} data characters for n={n}, got {len(body)}"
         )
-    bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()[:n_bits]
-    arr = np.zeros((n, n), dtype=np.uint8)
-    start = 0
-    for i in range(n):
-        arr[i, :i] = bits[start : start + i]
-        start += i
-    del bits
-    # mirror the lower triangle tile by tile, as in _first_offence
-    for r0 in range(0, n, _TILE):
-        for c0 in range(0, r0 + 1, _TILE):
-            tile = (slice(r0, r0 + _TILE), slice(c0, c0 + _TILE))
-            arr[tile[::-1]] |= arr[tile].T
-    adj = BitMatrix.from_bool_array(arr)
-    del arr  # Graph validation unpacks its own copy
-    return Graph(adj)
+    # 'A' is base64 for six zero bits: it completes the last group
+    body = body.translate(_FROM_G6) + b"A" * (-len(body) % 4)
+    stream = np.frombuffer(binascii.a2b_base64(body), dtype=np.uint8)
+    lower = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    for lo, hi, mask in _triangle_blocks(n):
+        rows = np.zeros(mask.shape, dtype=np.uint8)
+        first = lo * (lo - 1) // 2
+        rows[mask] = np.unpackbits(stream[first // 8 :], count=hi * (hi - 1) // 2 - first)
+        lower[lo:hi, : (hi + 7) // 8] = np.packbits(rows, axis=1, bitorder="little")
+    tri = BitMatrix.from_packed(lower, n)
+    return Graph(BitMatrix.from_packed(lower | tri.transpose().packed, n))

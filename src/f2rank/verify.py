@@ -29,10 +29,11 @@ from .gf2 import (
     BitVector,
     rank_of_row_ints,
     row_space_contains,
+    standard_form_blocks,
     subspace_basis,
     symplectic_coordinates,
 )
-from .graph import Graph, is_negation_free, is_twin_free
+from .graph import Graph, first_offence, is_negation_free, is_twin_free
 from .spectral import Spectrum, analytic_spectrum, graph_spectrum
 
 # orders above this get no spectrum payload from full_report
@@ -195,12 +196,10 @@ def _scan(k: _Gram, core: np.ndarray) -> _Scan:
 
 def _standard_form(a: BitMatrix, codes: np.ndarray) -> tuple[_Gram, _Scan] | None:
     """The degrees and the _Scan of a, read off its codes, if the codes list
-    range(order) once each and entry (i, j) is parity(c_i & J c_j), with J
-    swapping code bits 2t and 2t + 1; else None.
+    range(order) once each and a is the standard form on them
+    (gf2.standard_form_blocks); else None.
 
-    Row i of that form is the XOR, over the set bits b of c_i, of the
-    packed row holding bit b ^ 1 of every code.  One table of those XORs
-    per byte of code bits yields BLOCK_ROWS rows at a time, compared with
+    The rows of that form are built BLOCK_ROWS at a time and compared with
     the packed rows of a, so no order x order array is built.  The form is
     nondegenerate: code 0 is isolated, every other vertex has degree N/2,
     and two distinct nonzero codes give independent functionals, so every
@@ -211,20 +210,8 @@ def _standard_form(a: BitMatrix, codes: np.ndarray) -> tuple[_Gram, _Scan] | Non
     n = order.bit_length() - 1
     if n % 2 or not np.array_equal(np.sort(codes), np.arange(order)):
         return None
-    bits = (codes >> (np.arange(n) ^ 1)[:, None]) & 1
-    flipped = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-    tables = []
-    for lo in range(0, n, 8):
-        table = np.zeros((1, flipped.shape[1]), dtype=np.uint8)
-        for col in flipped[lo : lo + 8]:
-            table = np.concatenate([table, table ^ col])
-        tables.append(table)
     rows = a.packed
-    for lo in range(0, order, BLOCK_ROWS):
-        block = codes[lo : lo + BLOCK_ROWS]
-        want = np.zeros((block.size, rows.shape[1]), dtype=np.uint8)
-        for t, table in enumerate(tables):
-            want ^= table[(block >> 8 * t) & 255]
+    for lo, want in zip(range(0, order, BLOCK_ROWS), standard_form_blocks(codes, n, BLOCK_ROWS)):
         if not np.array_equal(want, rows[lo : lo + BLOCK_ROWS]):
             return None
     core = order - 1
@@ -410,13 +397,7 @@ def _check_order(report: VerificationReport, order: int, n: int) -> bool:
 
 
 def _is_symmetric_zero_diag(a: BitMatrix) -> bool:
-    if a.rows != a.cols:
-        return False
-    try:
-        Graph(a)
-    except ValueError:
-        return False
-    return True
+    return a.rows == a.cols and first_offence(a) is None
 
 
 def _block_identity(m: np.ndarray, v: np.ndarray) -> bool:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -41,6 +42,48 @@ def test_construct_families(tmp_path, capsys):
         assert code == 0
         m = BitMatrix.from_f2mat(path.read_text())
         assert m.rows == order
+
+
+# SHA-256 of every construct output below, as the chain of parity products
+# and the row-by-row graph6 codec wrote them; a builder or codec change
+# must leave these bytes alone
+CONSTRUCT_DIGESTS = {
+    ('g2pow', 1, 'f2mat'): "e24ceae45eaf47272e2539c6c7821907d697a400b9066a0a9a28993f241feaf2",
+    ('g2pow', 1, 'graph6'): "d126348003250697a2d10f617fdda18897bfb86709644678260fab038010a3ce",
+    ('g2pow', 2, 'f2mat'): "a50983e6c687c80db6cb52e53277db64002baf7473cdf64c905a0a53e579d188",
+    ('g2pow', 2, 'graph6'): "01005a965e5558ae059f0f2580838deb955ea51c52e08d93df852b0b7ce5078e",
+    ('g2pow', 3, 'f2mat'): "c9a705f242c9916e6386d1a850d2d1a495bc7f6c61ad97c51f5f304f16ac2a6e",
+    ('g2pow', 3, 'graph6'): "fa8e096922839aa0714a8c22b4f595585cb73991c85e9e947a734485b3947c51",
+    ('g2pow', 4, 'f2mat'): "4d9479ca492e97da28f5c6caad5e7041226063596ad7c287ba1256ef83ac162d",
+    ('g2pow', 4, 'graph6'): "b0e4bbb5035e82a832c7a3a21af530d7afc1b58b968a8268876d36b3afeaf0ad",
+    ('g2pow', 5, 'f2mat'): "576745dc3ba7cf2a124501632a139a65b00702f7628bf3cfb6fdc09e948aead3",
+    ('g2pow', 5, 'graph6'): "4f66fdda6e521a0e826d182a73ffab1dfb9b4e8f6d140bc28bf020675d390dde",
+    ('g2pow', 6, 'f2mat'): "0f6da430ba618c6c556ae4d38c483ddc7703bbeb9d541791482f4d48e6100954",
+    ('g2pow', 6, 'graph6'): "00ea4afc432466bbca2975ac0206ab6b8c1f8750af3272ccf37741d6ac1f3fa2",
+    ('odd', 3, 'f2mat'): "57935a4aeb251ad849ffc014f0132b0b5da75ce7c80f4650a16d0c2356d560d3",
+    ('odd', 3, 'graph6'): "2c72c922cd21d67bdab8a7f97fa0369510a45671b86993ab899b462ec43767d2",
+    ('odd', 5, 'f2mat'): "3550af57a4ad51df6d3416cb0c892e457d762abc2e730734fab8b6a7b1690dc7",
+    ('odd', 5, 'graph6'): "82b637e7acfa03fc0f42abe96b21e15bc5cde488870013df514f4f44cd47656a",
+    ('odd', 7, 'f2mat'): "98f17ee86ba345fd6a8e75bc415c76febfb8d2560587506396b994407ed7237e",
+    ('odd', 7, 'graph6'): "d4860499d71611c0e3e07c5f959db1affd30798fccd29f43c48c115c9bd73f90",
+    ('odd', 9, 'f2mat'): "a4e571bcb9b924b2fd345cf44b78ce7d8aca6084c7c2dd10ad48d5d0ee7e3aea",
+    ('odd', 9, 'graph6'): "b109c23e84ec23eb9fe9aa291d7c72dc3090cb1aec9b08f01bf00ea04fd06548",
+    ('linegraph-k', 5, 'f2mat'): "8dab3d7ac3a30b799eea55271c08b57b0df58e7547808c92ce0f07c41214ca83",
+    ('linegraph-k', 5, 'graph6'): "c22d613317a99706f36b8b1974d3ff64c03a3561ab99aa407471ad5b331d2d84",
+    ('linegraph-k', 8, 'f2mat'): "f304a71fa57b6be2bc3fbca00e8d1674af253412e7055075573cdce1f2e264b3",
+    ('linegraph-k', 8, 'graph6'): "5831aeda8932cd5ce93a17cc021e612738d4a74d3c9e9d508594a178761c5a44",
+    ('linegraph-k', 20, 'f2mat'): "0c0537bb77b86c77a070ece48f69227e73bea652e7377db7194d051809e2ea82",
+    ('linegraph-k', 20, 'graph6'): "65e81f85f222440389dd782cb8888ffc9b19ae41e4dafec6b82f61ae4802d058",
+}
+
+
+@pytest.mark.parametrize("family, param, fmt", list(CONSTRUCT_DIGESTS))
+def test_construct_golden_digests(tmp_path, capsys, family, param, fmt):
+    path = tmp_path / "out"
+    code, _, _ = run(capsys, "construct", "--family", family, "--param", str(param),
+                     "--format", fmt, "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CONSTRUCT_DIGESTS[family, param, fmt]
 
 
 def test_construct_bad_param(capsys):

@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from f2rank.gf2 import rows_form_subspace
-from f2rank.graph import is_negation_free, is_twin_free, line_graph
+from f2rank.graph import Graph, is_negation_free, is_twin_free, line_graph
+from f2rank.products import parity_product_graph
 from f2rank.constructions import (
     complete_graph,
     extremal_odd_plus_one,
@@ -18,6 +19,24 @@ def test_g2_exact_rows():
     assert [g.adj.row(i).to01() for i in range(4)] == ["0110", "1010", "1100", "0000"]
     assert g.rank() == 2
     assert is_twin_free(g) and is_negation_free(g)
+
+
+def g2_power_oracle(m: int) -> Graph:
+    """The left-associated parity-product power of g2, g2 x g2 x ... x g2."""
+    base = g2()
+    g = base
+    for _ in range(m - 1):
+        g = parity_product_graph(g, base)
+    return g
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_g2_power_matches_parity_product_oracle(m):
+    # the direct standard-form builder against the chain of products,
+    # byte for byte
+    got, want = g2_power(m).adj, g2_power_oracle(m).adj
+    assert (got.rows, got.cols) == (want.rows, want.cols) == (4**m, 4**m)
+    assert got.packed.tobytes() == want.packed.tobytes()
 
 
 def test_g2_power_properties():

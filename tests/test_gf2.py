@@ -98,6 +98,11 @@ def test_matrix_constructors_and_access():
         with pytest.raises(ValueError, match="^row bits outside declared width$"):
             BitMatrix(2, cols, [0, bad])
     assert BitMatrix(1, 8, [255]).row_ints() == [255]
+    assert BitMatrix.from_packed(np.array([[5], [3]], dtype=np.uint8), 3).row_ints() == [5, 3]
+    with pytest.raises(ValueError, match="^row bits outside declared width$"):
+        BitMatrix.from_packed(np.array([[5], [8]], dtype=np.uint8), 3)
+    with pytest.raises(ValueError, match="^packed rows of a 9-column matrix need 2 bytes$"):
+        BitMatrix.from_packed(np.zeros((2, 1), dtype=np.uint8), 9)
 
 
 # widths on both sides of a byte and of a 64-bit word, and any other
@@ -128,7 +133,8 @@ def test_storage_invariants(rows, cols, rnd):
     dense = np.array([[(r >> j) & 1 for j in range(cols)] for r in ints], dtype=bool)
     dense = dense.reshape(rows, cols)
     m = BitMatrix(rows, cols, ints)
-    same = [m, BitMatrix.from_bool_array(dense), BitMatrix.from_f2mat(m.to_f2mat())]
+    same = [m, BitMatrix.from_bool_array(dense), BitMatrix.from_f2mat(m.to_f2mat()),
+            BitMatrix.from_packed(np.packbits(dense, axis=1, bitorder="little"), cols)]
     if rows:
         same.append(BitMatrix.from_strings([m.row(i).to01() for i in range(rows)]))
     for x in same + [BitMatrix.zeros(rows, cols), BitMatrix.identity(cols)]:
@@ -158,6 +164,22 @@ def test_storage_invariants(rows, cols, rnd):
         assert x.to_bool_array().tolist() == want.astype(np.uint8).tolist()
     _assert_storage_invariants(m)
     assert m.row_ints() == ints
+
+
+@settings(max_examples=150, deadline=None)
+@given(_WIDTHS, _WIDTHS, st.randoms(use_true_random=False))
+def test_transpose_matches_unpacked(rows, cols, rnd):
+    """The packed transpose of any shape, non-square ones and widths on
+    both sides of a byte and of a 64-bit word included, against the
+    transpose of the unpacked bits."""
+    m = BitMatrix(rows, cols, [rnd.getrandbits(cols) for _ in range(rows)])
+    bits = np.unpackbits(m.packed, axis=1, count=cols, bitorder="little")
+    want = np.packbits(bits.T, axis=1, bitorder="little")
+    t = m.transpose()
+    _assert_storage_invariants(t)
+    assert (t.rows, t.cols) == (cols, rows)
+    assert t.packed.tobytes() == want.tobytes() and t.packed.shape == (want.shape if cols else (0, 0))
+    assert t.transpose() == m
 
 
 @pytest.mark.parametrize("rows", [BYTE_RANK_MIN_ROWS - 1, BYTE_RANK_MIN_ROWS, 400])
@@ -530,7 +552,7 @@ def test_f2mat_round_trip_property(rows, cols, rnd):
     text = m.to_f2mat()
     # reference text: one row at a time, character j is column j
     assert text == f"f2mat {rows} {cols}\n" + "".join(m.row(i).to01() + "\n" for i in range(rows))
-    assert BitMatrix.from_f2mat(text) == m
+    assert BitMatrix.from_f2mat(text) == BitMatrix.from_f2mat(text.encode("ascii")) == m
     assert BitMatrix.from_bool_array(m.to_bool_array()) == m
     assert m.to_bool_array().tolist() == [[m.get(i, j) for j in range(cols)] for i in range(rows)]
 
@@ -597,6 +619,27 @@ def test_from_f2mat_peak_memory_order_4096():
         tracemalloc.stop()
     assert got == m
     assert peak < 2 * m.rows**2
+
+
+def test_from_f2mat_reads_bytes_in_place():
+    # the bytes of an ASCII file parse to the same matrix, or raise the same
+    # error, as its text; a non-ASCII byte is one character that is not 0/1
+    for text, message in F2MAT_MALFORMED.items():
+        if text.isascii():
+            with pytest.raises(F2MatFormatError, match=f"^{re.escape(message)}$"):
+                BitMatrix.from_f2mat(text.encode("ascii"))
+    with pytest.raises(F2MatFormatError, match="^row 2 is not 2 characters of 0/1$"):
+        BitMatrix.from_f2mat(b"f2mat 2 2\n00\n0\xe9\n")
+    m = g2_power(6).adj
+    data = m.to_f2mat().encode("ascii")
+    tracemalloc.start()
+    try:
+        got = BitMatrix.from_f2mat(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == m
+    assert peak < m.rows**2 / 4  # the packed rows and per-block temporaries
 
 
 def test_f2mat_empty_matrices():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,6 +39,74 @@ def _assert_first_offence(adj: BitMatrix):
                     Graph(adj)
                 return
     raise AssertionError("matrix has no offending entry")
+
+
+def _first_offence_oracle(arr: np.ndarray) -> tuple[int, int] | None:
+    """First entry of a dense square 0/1 array in row-major order that is a
+    diagonal 1 or differs from its transpose, or None.
+
+    Offences come in mirrored pairs, so the first lies on or above the
+    diagonal.  Each band of 256 rows is compared there tile by tile with
+    the transposed tiles below the diagonal.
+    """
+    n, tile_size = len(arr), 256
+    for r0 in range(0, n, tile_size):
+        rows = slice(r0, r0 + tile_size)
+        band = np.empty((min(tile_size, n - r0), n - r0), dtype=bool)
+        for c0 in range(r0, n, tile_size):
+            tile = (rows, slice(c0, c0 + tile_size))
+            np.not_equal(arr[tile], arr[tile[::-1]].T, out=band[:, c0 - r0 : c0 - r0 + tile_size])
+        np.fill_diagonal(band, arr.diagonal()[rows])
+        if band.any():
+            i, j = divmod(int(band.argmax()), n - r0)
+            return r0 + i, r0 + j
+    return None
+
+
+def _validation_message(adj: BitMatrix) -> str | None:
+    try:
+        Graph(adj)
+    except (NotSymmetricError, NonzeroDiagonalError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def _oracle_message(arr: np.ndarray) -> str | None:
+    offence = _first_offence_oracle(arr)
+    if offence is None:
+        return None
+    i, j = offence
+    if i == j:
+        return f"NonzeroDiagonalError: diagonal entry ({i},{i}) is 1"
+    return f"NotSymmetricError: entries ({i},{j}) and ({j},{i}) differ"
+
+
+def _random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
+    upper = np.triu(rng.integers(0, 2, (n, n), dtype=np.uint8), 1)
+    return upper | upper.T
+
+
+def test_validation_matches_tiled_oracle_orders_1_to_300():
+    # one flip that breaks symmetry, one at the last column (in a row's
+    # last, partial byte when n is not a multiple of 8), one diagonal 1,
+    # and a flip below a diagonal 1 that comes later
+    rng = np.random.default_rng(17)
+    for n in range(1, 301):
+        arr = _random_symmetric(rng, n)
+        assert _validation_message(BitMatrix.from_bool_array(arr)) is None
+        cases = []
+        i, d = rng.integers(n, size=2)
+        cases.append([(i, i)])
+        if n > 1:
+            a, b = rng.choice(n, size=2, replace=False)
+            cases += [[(a, b)], [(rng.integers(n - 1), n - 1)], [(n - 1, 0)], [(b, a), (max(a, b), max(a, b))]]
+        for flips in cases:
+            bad = arr.copy()
+            for r, c in flips:
+                bad[r, c] ^= 1
+            want = _oracle_message(bad)
+            assert want is not None
+            assert _validation_message(BitMatrix.from_bool_array(bad)) == want, (n, flips)
 
 
 def _offending_cases(base: BitMatrix):
@@ -77,7 +147,8 @@ def test_validation_large_graph_path():
 
 
 def test_validation_tiled_scan_order_600():
-    """Order 600 is not a multiple of the 256-wide tiles the scan compares."""
+    """Offences on and around 256-wide tile edges, which the tiled oracle
+    treats apart, and in the last, partial band."""
     base = random_graph(random.Random(15), 600).adj
 
     def flip(m, i, j):
@@ -275,3 +346,46 @@ GRAPH6_MALFORMED = {
 def test_graph6_malformed(text):
     with pytest.raises(Graph6FormatError, match=f"^{GRAPH6_MALFORMED[text]}$"):
         from_graph6(text)
+
+
+def _graph6_reference(g: Graph) -> str:
+    """graph6 from its definition, a character per bit: the size field,
+    then the upper triangle column by column, (0,1),(0,2),(1,2),..., in
+    big-endian groups of six bits padded with zeros, each plus 63."""
+    n = g.order
+    size = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
+    # column j of the upper triangle is entries (j, i), i < j, of row j
+    bits = "".join(g.adj.row(j).to01()[:j] for j in range(n))
+    bits += "0" * (-len(bits) % 6)
+    groups = [int(bits[k : k + 6], 2) for k in range(0, len(bits), 6)]
+    return "".join(chr(63 + x) for x in size + groups)
+
+
+def _random_graph_dense(n: int, seed: int) -> Graph:
+    return Graph(BitMatrix.from_bool_array(_random_symmetric(np.random.default_rng(seed), n)))
+
+
+@pytest.mark.parametrize("n", [*range(71), 4095, 4096])
+def test_graph6_against_reference_encoder(n):
+    # both size forms, and every residue of n(n-1)/2 mod 6 and mod 24, so
+    # every padding of the 6-bit groups and of the 3-byte base64 groups
+    g = _random_graph_dense(n, 100 + n)
+    text = _graph6_reference(g)
+    assert to_graph6(g) == text
+    assert from_graph6(text) == g
+
+
+@pytest.mark.parametrize("codec", ["encode", "decode"])
+def test_graph6_peak_memory_order_4096(codec):
+    # the codecs work on packed rows and blocks of the triangle: neither
+    # builds an order x order byte array
+    g = _random_graph_dense(4096, 7)
+    text = to_graph6(g)
+    tracemalloc.start()
+    try:
+        got = to_graph6(g) if codec == "encode" else from_graph6(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (text if codec == "encode" else g)
+    assert peak < g.order**2
