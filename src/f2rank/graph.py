@@ -72,6 +72,14 @@ class Graph:
         self.adj = adj
 
     @classmethod
+    def _symmetric(cls, adj: BitMatrix) -> Graph:
+        """A Graph on adj, unvalidated: only for an adj that is symmetric
+        with a zero diagonal by construction."""
+        g = cls.__new__(cls)
+        g.adj = adj
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> Graph:
         rows = [0] * n
         for u, v in edges:
@@ -291,4 +299,5 @@ def from_graph6(text: str) -> Graph:
         rows[mask] = np.unpackbits(stream[first // 8 :], count=hi * (hi - 1) // 2 - first)
         lower[lo:hi, : (hi + 7) // 8] = np.packbits(rows, axis=1, bitorder="little")
     tri = BitMatrix.from_packed(lower, n)
-    return Graph(BitMatrix.from_packed(lower | tri.transpose().packed, n))
+    # L | L^T of a strict lower triangle is symmetric with a zero diagonal
+    return Graph._symmetric(BitMatrix.from_packed(lower | tri.transpose().packed, n))

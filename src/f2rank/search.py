@@ -6,13 +6,16 @@ by treating the upper-triangle entries as counter bits (pairs (i,j), i<j,
 in row-major order).  The kernel is bit-sliced: 64 consecutive counters
 share one uint64 word, lane l holding counter 64w + l, and plane p holds
 counter bit p, that is entry p, of every lane.  Planes 0..5 are fixed lane
-patterns and planes 6..27 are 0 or all-ones per word, read off the word
-index, so no candidate is ever packed into a matrix.  Pair pivots (k, q)
-with a_kq = 1 clear two rows and columns per step of an alternating
-matrix; each step is a few hundred word-wide boolean ops that advance 64
-eliminations at once, and a 3-bit bit-sliced counter keeps rank/2.  Blocks
-of 2^12 words keep every plane in cache, and buffers are reused across
-blocks.  The sweep's whole result is its rank histogram, and the scalar
+patterns and planes 6..17 runs of 0 and all-ones words, read off the word
+index, so no candidate is ever packed into a matrix.  These 18 planes are
+the entries that touch vertices 0..2; bits 18..27, the 5x5 block C on
+vertices 3..7, are constant over each block of 2^12 words.  A pair pivot
+(k, q) with a_kq = 1 clears two rows and columns of an alternating matrix
+and lowers its rank by 2 (Albert, 1938).  On C it is a scalar choice made
+once per block; the residual matrix, of order 4 in 868 of the 1024 blocks,
+goes to the bit-sliced kernel, whose steps are word-wide boolean ops that
+advance 64 eliminations at once, and a 3-bit bit-sliced counter keeps
+rank/2.  The sweep's whole result is its rank histogram, and the scalar
 reference path is the test oracle.  Work partitions into disjoint counter
 ranges whose histograms add, so the outcome is independent of worker count.
 """
@@ -33,7 +36,10 @@ N3_ORDER = 8
 N3_PAIRS = list(combinations(range(N3_ORDER), 2))
 N3_SPAN = 1 << len(N3_PAIRS)  # 2^28 candidates
 DEFAULT_CHUNK = 1 << 22
-_WORDS = 1 << 12  # words per sweep block: the 28 planes take 0.9 MB
+_FREE = 18  # counter bits 0..17 are the entries that touch vertices 0..2
+# words per sweep block: its 2^18 counters share bits 18..27, the 5x5 block C
+# on vertices 3..7, and the 18 free planes take 0.6 MB
+_WORDS = 1 << (_FREE - 6)
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 # _PLANE[i][j] = the counter bit, so the plane, of entry (i, j); -1 on the diagonal
@@ -239,129 +245,210 @@ def _counter_half_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 class _BitSliced:
-    """The bit-sliced pair-pivot rank kernel with its planes and scratch
-    buffers, for up to `words` words (64 lanes each) per call; one instance
-    serves a whole sweep."""
+    """The bit-sliced rank kernel for candidates that share one block C.
+
+    planes[p] holds entry p, that is counter bit p < _FREE, of the 64 lanes
+    of each of up to `words` words: every entry that touches vertices 0..2.
+    The 5x5 block C on vertices 3..7, counter bits _FREE..27, is one integer
+    per call.  The planes are only read: an updated entry (i, j) goes to its
+    own scratch row _own[_PLANE[i][j]].  One instance serves every block of
+    a sweep_range call.
+    """
 
     def __init__(self, words: int):
-        self.planes = np.empty((len(N3_PAIRS), words), dtype=np.uint64)
+        self.planes = np.empty((_FREE, words), dtype=np.uint64)
+        self._own = np.empty((len(N3_PAIRS), words), dtype=np.uint64)
+        self._zero = np.zeros(words, dtype=np.uint64)
         self._row = np.empty((N3_ORDER, words), dtype=np.uint64)
         self._seen = np.empty((2, words), dtype=np.uint64)
         self._pick = np.empty(words, dtype=np.uint64)
-        self._tmp = np.empty(words, dtype=np.uint64)
+        self._tmp = np.empty((2, words), dtype=np.uint64)
         self._half = np.empty((3, words), dtype=np.uint64)
 
+    def entries(self, c: int, lo: int, hi: int) -> list[list]:
+        """The 8x8 entry table of words lo:hi: views of planes, the bits of
+        c (0 or 1) on C, None on the diagonal."""
+        e: list[list] = [[None] * N3_ORDER for _ in range(N3_ORDER)]
+        planes = list(self.planes[:, lo:hi])
+        for p, (i, j) in enumerate(N3_PAIRS):
+            e[i][j] = e[j][i] = planes[p] if p < _FREE else c >> (p - _FREE) & 1
+        return e
+
     def _count(self, half: np.ndarray, nonzero: np.ndarray) -> None:
-        """Add 1 to the 3-bit counter half in the lanes set in nonzero."""
-        carry, tmp = self._pick[: nonzero.size], self._tmp[: nonzero.size]
+        """Add 1 to the 3-bit counter half in the lanes set in nonzero; it
+        borrows the pick row and a tmp row, which no step holds across it."""
+        carry, tmp = self._pick[: nonzero.size], self._tmp[0, : nonzero.size]
         np.bitwise_and(half[0], nonzero, out=carry)
         np.bitwise_xor(half[0], nonzero, out=half[0])
         np.bitwise_and(half[1], carry, out=tmp)
         np.bitwise_xor(half[1], carry, out=half[1])
         np.bitwise_xor(half[2], tmp, out=half[2])
 
-    def __call__(self, lo: int, hi: int) -> np.ndarray:
-        """rank/2 of the alternating matrices in words planes[:, lo:hi],
-        which are overwritten, as three bit planes (bit b of rank/2 in row b).
+    def __call__(self, c: int, lo: int, hi: int) -> tuple[int, np.ndarray]:
+        """(s, half) for words lo:hi of the planes under C = c: rank(C) = 2s,
+        and half holds rank/2 - s of every lane as three bit planes.
 
-        Entry (i, j) of lane l is bit l of planes[_PLANE[i][j]].  Step k
-        takes row k (r) and its lowest set bit q: pick_j marks the lanes
-        with q = j (r_j set, every earlier r_j' clear), the running OR of r
-        (seen) marks those with r nonzero, and row q is R = OR_j pick_j &
-        row j.  a_kq = 1 pivots the pair
-        (k, q): E[i][l] ^= R_i & r_l ^ r_i & R_l over i < l beyond k keeps
-        the matrix alternating, zeroes row q and lowers the rank by 2 (row
-        and column k are never read again); a zero r makes R zero.  After
-        steps 0..4 rows 5..7 hold a 3x3 alternating matrix, whose rank is 2
-        unless it is zero, so a nonzero test replaces steps 5 and 6.
+        C is constant, so each pair pivot (k, q) in it, with C[k][q] = 1, is
+        a scalar choice.  The Schur rule E[i][l] ^= E[i][k] & E[q][l] ^
+        E[i][q] & E[k][l] then keeps the rest alternating and lowers the rank
+        by 2.  Inside C it is integer arithmetic; on an entry between
+        vertices 0..2 and C one factor of each term is a constant, so it is
+        a plane XOR or nothing; among vertices 0..2 it is word ANDs.  After s
+        pivots the live part of C is zero, and the residual matrix, of order
+        8 - 2s, goes to rank_half.
         """
-        n = hi - lo
-        planes = self.planes[:, lo:hi]
-        e = [[planes[p] if p >= 0 else None for p in row] for row in _PLANE]
-        rows, tmp = self._row[:, :n], self._tmp[:n]
-        seen, prev = self._seen[0, :n], self._seen[1, :n]
-        half = self._half[:, :n]
+        w = hi - lo
+        e = self.entries(c, lo, hi)
+        live = list(range(N3_ORDER))
+        s = 0
+        while pair := next((kq for kq in combinations(live[3:], 2) if e[kq[0]][kq[1]]), None):
+            k, q = pair
+            live.remove(k)
+            live.remove(q)
+            s += 1
+            for i, l in combinations(live, 2):
+                if i >= 3:  # inside C: constants
+                    e[i][l] = e[l][i] = e[i][l] ^ e[i][k] & e[q][l] ^ e[i][q] & e[k][l]
+                    continue
+                terms = []
+                for x, y in ((e[i][k], e[q][l]), (e[i][q], e[k][l])):
+                    if l < 3:
+                        terms.append(np.bitwise_and(x, y, out=self._tmp[len(terms), :w]))
+                    elif y:
+                        terms.append(x)
+                if terms:
+                    dst = self._own[_PLANE[i][l], :w]
+                    np.bitwise_xor(e[i][l], terms[0], out=dst)
+                    for t in terms[1:]:
+                        np.bitwise_xor(dst, t, out=dst)
+                    e[i][l] = e[l][i] = dst
+        for i, l in combinations(live[3:], 2):
+            e[i][l] = e[l][i] = self._zero[:w]
+        return s, self.rank_half(e, live)
+
+    def rank_half(self, e: list[list], live: list[int]) -> np.ndarray:
+        """rank/2 of the alternating matrices e[live][:, live], of order
+        n = len(live) >= 4, as three bit planes (bit b of rank/2 in row b).
+
+        Every entry of e among live is a word array of one length; bit l of
+        an entry is that entry of lane l.  Entries are read, never written:
+        an update replaces e[i][l] by a scratch row.  Step k takes row k (r)
+        and its lowest set bit q: pick_j marks the lanes with q = j (r_j
+        set, every earlier r_j' clear), the running OR of r (seen) marks
+        those with r nonzero, and row q is R = OR_j pick_j & row j.  a_kq = 1
+        pivots the pair (k, q): E[i][l] ^= R_i & r_l ^ r_i & R_l over i < l
+        beyond k keeps the matrix alternating, zeroes row q and lowers the
+        rank by 2 (row and column k are never read again); a zero r makes R
+        zero.  Steps run on all but the last four vertices a, b, c, d, which
+        then hold a 4x4 alternating matrix: its rank is 4 when its Pfaffian
+        ab.cd + ac.bd + ad.bc is 1, and 2 when it is 0 but some entry is 1,
+        so two counts replace the last step.
+        """
+        w = e[live[0]][live[1]].size
+        rows, (tmp, pf) = self._row[:, :w], self._tmp[:, :w]
+        seen, prev = self._seen[:, :w]
+        half = self._half[:, :w]
         half.fill(0)
-        for k in range(5):
-            rest = range(k + 1, N3_ORDER)
+        for step, k in enumerate(live[:-4]):
+            rest = live[step + 1 :]
             r = e[k]
-            started = [False] * N3_ORDER
+            started = set()
             for j in rest:
-                if j == k + 1:
+                if j == rest[0]:
                     np.copyto(seen, r[j])
-                    pick = r[j]  # row k is never written again
+                    pick = r[j]
                 else:
-                    pick = self._pick[:n]
+                    pick = self._pick[:w]
                     seen, prev = prev, seen
                     np.bitwise_or(prev, r[j], out=seen)
                     np.bitwise_xor(seen, prev, out=pick)
                 for l in rest:
                     if l == j:
                         continue
-                    if started[l]:
+                    if l in started:
                         np.bitwise_and(pick, e[j][l], out=tmp)
                         np.bitwise_or(rows[l], tmp, out=rows[l])
                     else:
                         np.bitwise_and(pick, e[j][l], out=rows[l])
-                        started[l] = True
-            for i in rest:
-                for l in range(i + 1, N3_ORDER):
-                    np.bitwise_and(rows[i], r[l], out=tmp)
-                    np.bitwise_xor(e[i][l], tmp, out=e[i][l])
-                    np.bitwise_and(r[i], rows[l], out=tmp)
-                    np.bitwise_xor(e[i][l], tmp, out=e[i][l])
+                        started.add(l)
+            for i, l in combinations(rest, 2):
+                dst = self._own[_PLANE[i][l], :w]
+                np.bitwise_and(rows[i], r[l], out=tmp)
+                np.bitwise_xor(e[i][l], tmp, out=dst)
+                np.bitwise_and(r[i], rows[l], out=tmp)
+                np.bitwise_xor(dst, tmp, out=dst)
+                e[i][l] = e[l][i] = dst
             self._count(half, seen)
-        np.bitwise_or(e[5][6], e[5][7], out=seen)
-        np.bitwise_or(seen, e[6][7], out=seen)
+        a, b, c, d = live[-4:]
+        np.bitwise_and(e[a][b], e[c][d], out=pf)
+        np.bitwise_and(e[a][c], e[b][d], out=tmp)
+        np.bitwise_xor(pf, tmp, out=pf)
+        np.bitwise_and(e[a][d], e[b][c], out=tmp)
+        np.bitwise_xor(pf, tmp, out=pf)
+        np.bitwise_or(e[a][b], e[a][c], out=seen)
+        for x in (e[a][d], e[b][c], e[b][d], e[c][d]):
+            np.bitwise_or(seen, x, out=seen)
         self._count(half, seen)
+        self._count(half, pf)
         return half
 
 
 def _packed_rank(mat: np.ndarray) -> np.ndarray:
-    """GF(2) rank of each packed 8x8 matrix (byte i = row i), branchless.
+    """GF(2) rank of each packed 8x8 matrix (byte i = row i).
 
-    The matrices are transposed into bit planes, padded with zero lanes,
-    and ranked by the sweep's kernel.  Exact only on alternating matrices
-    (symmetric, zero diagonal), the sweep's whole domain: pair pivoting
-    returns even ranks only.  mat is not modified.
+    The matrices are grouped by their block C, each group is transposed
+    into the bit planes of its own run of words, padded with zero lanes,
+    and each run is ranked by the sweep's per-block routine.  Exact only on
+    alternating matrices (symmetric, zero diagonal), the sweep's whole
+    domain: pair pivoting returns even ranks only.  mat is not modified.
     """
     n = mat.size
-    words = -(-n // 64)
-    lanes = np.zeros(64 * words, dtype="<u8")
-    lanes[:n] = mat
-    bits = np.unpackbits(lanes.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-    kernel = _BitSliced(words)
-    cols = [8 * i + j for i, j in N3_PAIRS]
-    kernel.planes[:] = np.packbits(bits[:, cols].T, axis=1, bitorder="little").view("<u8")
-    half = np.unpackbits(kernel(0, words).astype("<u8").view(np.uint8), axis=1, bitorder="little")
-    return (half[:, :n].T @ np.array([2, 4, 8], dtype=np.uint8)).astype(np.uint8)
+    bits = np.unpackbits(mat.astype("<u8").view(np.uint8).reshape(n, 8), axis=1, bitorder="little")
+    entries = bits[:, [8 * i + j for i, j in N3_PAIRS]]
+    block = entries[:, _FREE:].astype(np.intp) @ (1 << np.arange(len(N3_PAIRS) - _FREE))
+    order = np.argsort(block, kind="stable")
+    cs, first = np.unique(block[order], return_index=True)
+    sizes = np.diff(first, append=n)
+    bounds = np.concatenate([[0], np.cumsum(-(-sizes // 64))])
+    # the lane of matrix order[t]: group g starts at word bounds[g]
+    lane = np.arange(n) + np.repeat(64 * bounds[:-1] - first, sizes)
+    grid = np.zeros((_FREE, 64 * bounds[-1]), dtype=np.uint8)
+    grid[:, lane] = entries[order, :_FREE].T
+    kernel = _BitSliced(int(bounds[-1]))
+    kernel.planes[:] = np.packbits(grid, axis=1, bitorder="little").view("<u8")
+    halves = np.empty((3, bounds[-1]), dtype="<u8")
+    pivots = np.empty(bounds[-1], dtype=np.uint8)
+    for c, lo, hi in zip(cs.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+        pivots[lo:hi], halves[:, lo:hi] = kernel(c, lo, hi)
+    half = np.unpackbits(halves.view(np.uint8), axis=1, bitorder="little")
+    ranks = 2 * (np.repeat(pivots, 64) + half.T @ np.array([1, 2, 4], dtype=np.uint8))
+    out = np.empty(n, dtype=np.uint8)
+    out[order] = ranks[lane]
+    return out
 
 
 def sweep_range(start: int, stop: int) -> SweepStats:
     """Examine counters [start, stop) with the bit-sliced kernel.
 
     Counter 64w + l is lane l of word w.  Words go in aligned blocks of
-    _WORDS, so over a block the planes of the word-index bits below _WORDS
-    are fixed runs of zero and all-ones words and the planes above are
-    constant.  The kernel ranks the block's words that meet the range, and
-    lanes outside [start, stop) in the first and last word are masked out
-    of the histogram.
+    _WORDS, whose counters share bits _FREE..27, so the block index is C,
+    and the planes of bits 0.._FREE-1 are the same in every block: lane
+    patterns, then runs of zero and all-ones words, filled once.  The
+    kernel ranks the block's words that meet the range, and lanes outside
+    [start, stop) in the first and last word are masked out of the
+    histogram.
     """
     counts = np.zeros(N3_ORDER + 1, dtype=np.int64)
     kernel = _BitSliced(_WORDS)
-    planes = kernel.planes
-    low_bits = _WORDS.bit_length() - 1
-    high = np.arange(len(N3_PAIRS) - 6 - low_bits)
+    kernel.planes[:6] = _LANE_PLANES[:, None]
     runs = np.array([[0], [_ONES]], dtype=np.uint64)
+    for b in range(_FREE - 6):
+        kernel.planes[6 + b].reshape(-1, 2, 1 << b)[:] = runs
     first, last = start >> 6, (stop - 1) >> 6
     for block in range(first // _WORDS, last // _WORDS + 1):
         base = block * _WORDS
         lo, hi = max(first - base, 0), min(last + 1 - base, _WORDS)
-        planes[:6] = _LANE_PLANES[:, None]
-        for b in range(low_bits):
-            planes[6 + b].reshape(-1, 2, 1 << b)[:] = runs
-        planes[6 + low_bits :] = np.where(block >> high & 1, _ONES, np.uint64(0))[:, None]
-        half = kernel(lo, hi)
+        s, half = kernel(block, lo, hi)
         first_lane, stop_lane = 64 * (base + lo), 64 * (base + hi)
         half[:, 0] &= _ONES << np.uint64(max(start - first_lane, 0))
         half[:, -1] &= _ONES >> np.uint64(max(stop_lane - stop, 0))
@@ -369,8 +456,9 @@ def sweep_range(start: int, stop: int) -> SweepStats:
         pop = [int(np.bitwise_count(h).sum()) for h in half]
         both = int(np.bitwise_count(half[0] & half[1]).sum())
         got = [pop[0] - both, pop[1] - both, both, pop[2]]
-        counts[2::2] += got
-        counts[0] += min(stop, stop_lane) - max(start, first_lane) - sum(got)
+        lanes = min(stop, stop_lane) - max(start, first_lane)
+        # the residual has order 8 - 2s, so its rank/2 is at most 4 - s
+        counts[2 * s :: 2] += [lanes - sum(got), *got[: 4 - s]]
     return SweepStats(counts.tolist())
 
 

@@ -438,7 +438,10 @@ def _coset_order(a: BitMatrix | Graph, basis: list[int] | None) -> tuple[np.ndar
     for i in p:
         span = np.concatenate([span, span ^ y[i]])
     perm = np.argsort(y)[span]
-    dense = np.unpackbits(rows[perm], axis=1, count=a.cols, bitorder="little").take(perm, axis=1)
+    # a is symmetric, so the transpose of a[perm] is a[:, perm], and its rows
+    # in order perm are a[perm][:, perm]: both gathers run on packed bytes
+    gathered = BitMatrix.from_packed(rows[perm], a.cols).transpose().packed[perm]
+    dense = np.unpackbits(gathered, axis=1, count=a.cols, bitorder="little")
     half = a.rows // 2
     u = dense[half, :half]
     if not np.array_equal(u, dense[half, half:]):

@@ -14,6 +14,7 @@ from f2rank.graph import (
     Graph6FormatError,
     NonzeroDiagonalError,
     NotSymmetricError,
+    first_offence,
     from_graph6,
     is_negation_free,
     is_twin_free,
@@ -327,6 +328,20 @@ def test_graph6_round_trip_property(n, seed):
     rng = random.Random(seed)
     g = random_graph(rng, n, 0.5)
     assert from_graph6(to_graph6(g)) == g
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 130), st.integers(0, 2**64 - 1))
+def test_graph6_decodes_symmetric_zero_diagonal(n, seed):
+    # from_graph6 skips Graph validation: any well-formed body, padding
+    # bits included, must decode to a symmetric zero-diagonal matrix
+    rng = random.Random(seed)
+    size = chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    body = "".join(chr(rng.randrange(63, 127)) for _ in range((n * (n - 1) // 2 + 5) // 6))
+    g = from_graph6(size + body)
+    assert g.order == n
+    assert first_offence(g.adj) is None
+    assert to_graph6(g)[len(size):-1] == body[:-1]
 
 
 _OUT_OF_RANGE = "character out of graph6 range"

@@ -172,6 +172,80 @@ def test_packed_rank_sizes_leave_input_unchanged(size):
     ]
 
 
+# Counter bits 18..27 are the 5x5 block C on vertices 3..7, constant over a
+# sweep block of 2^18 counters, so block c has C = c.  C = 1 sets entry
+# (3, 4) and C = 1 | 1 << 7 sets (3, 4) and (5, 6).
+_BLOCK_OF_C_RANK = {0: 0, 2: 1, 4: 1 | 1 << 7}
+
+
+@pytest.mark.parametrize("c_rank", [0, 2, 4])
+def test_sweep_inside_constant_blocks_matches_reference(c_rank):
+    # residual order 8, 6 and 4 after the scalar pivots on C
+    c = _BLOCK_OF_C_RANK[c_rank]
+    assert rank_of_row_ints(_rows_from_counter(c << 18, 8, N3_PAIRS), 8) == c_rank
+    base, span = c << 18, 64 * search._WORDS
+    ranges = [
+        (base, base + 4096),  # aligned, at the block start
+        (base + 64 * 1000, base + 64 * 1040),  # aligned, inside
+        (base + 777, base + 5555),  # unaligned, inside
+        (base + span - 3001, base + span),  # unaligned start, at the block end
+    ]
+    for start, stop in ranges:
+        assert sweep_range(start, stop) == sweep_range_reference(start, stop)
+
+
+def _lane_half_ranks(half: np.ndarray) -> np.ndarray:
+    bits = np.unpackbits(half.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    return bits.T @ np.array([1, 2, 4])
+
+
+def test_constant_pivots_match_order8_kernel_for_every_block():
+    # words 1000..1063 of every block: the order-8 kernel on planes that
+    # hold C as constant words against the scalar pivots on C plus the
+    # residual kernel, lane by lane, with a few lanes checked by elimination
+    first, words = 1000, 64
+    kernel = search._BitSliced(words)
+    word_index = np.arange(first, first + words)
+    kernel.planes[:6] = search._LANE_PLANES[:, None]
+    for b in range(search._FREE - 6):
+        kernel.planes[6 + b] = np.where(word_index >> b & 1, search._ONES, np.uint64(0))
+    const = {0: np.zeros(words, dtype=np.uint64), 1: np.full(words, search._ONES)}
+    pivots = set()
+    for c in range(1 << 10):
+        table = kernel.entries(c, 0, words)
+        planes = [[const[x] if isinstance(x, int) else x for x in row] for row in table]
+        want = _lane_half_ranks(kernel.rank_half(planes, list(range(8))).copy())
+        s, half = kernel(c, 0, words)
+        got = s + _lane_half_ranks(half)
+        assert np.array_equal(got, want), c
+        for lane in (0, 64 * 17 + 45, 64 * words - 1):
+            counter = c << 18 | 64 * first + lane
+            assert 2 * got[lane] == rank_of_row_ints(_rows_from_counter(counter, 8, N3_PAIRS), 8)
+        pivots.add(s)
+    assert pivots == {0, 1, 2}
+
+
+def test_packed_rank_across_many_blocks_matches_scalar():
+    from f2rank.search import _counter_half_tables, _packed_rank
+
+    lo, hi = _counter_half_tables()
+    rng = np.random.default_rng(44)
+    blocks = rng.choice(1 << 10, size=300, replace=False)
+    counters = np.concatenate([
+        (blocks[:, None] << 18 | rng.integers(0, 1 << 18, size=(300, 3))).ravel(),
+        # one block with more than a word of matrices
+        (blocks[0] << 18) + rng.integers(0, 1 << 18, size=150),
+    ])
+    rng.shuffle(counters)
+    packed = lo[counters & 0x3FFF] | hi[counters >> 14]
+    before = packed.copy()
+    ranks = _packed_rank(packed)
+    assert np.array_equal(packed, before)
+    assert ranks.tolist() == [
+        rank_of_row_ints(_rows_from_counter(c, 8, N3_PAIRS), 8) for c in counters.tolist()
+    ]
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_alternating_rank_counts_brute_force(n):
     pairs = list(combinations(range(n), 2))
