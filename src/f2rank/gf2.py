@@ -326,30 +326,31 @@ class BitMatrix:
             raise ValueError("expected a 2-D array")
         return cls._wrap(np.packbits(arr, axis=1, bitorder="little"), arr.shape[1])
 
-    def to_f2mat(self) -> str:
-        # header and rows share one buffer that is decoded once, so no
-        # copy of the whole text is made to join them
+    def to_f2mat(self) -> bytearray:
+        """The f2mat text as ASCII bytes, filled in place in one buffer (a
+        file is written with one binary write, stdout decodes it once)."""
         header = f"f2mat {self.rows} {self.cols}\n".encode("ascii")
-        text = np.empty(len(header) + self.rows * (self.cols + 1), dtype=np.uint8)
-        text[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+        text = bytearray(len(header) + self.rows * (self.cols + 1))
+        text[: len(header)] = header
         # the '0'/'1' bytes of each row, unpacked a block of rows at a
         # time, then a newline column
-        image = text[len(header) :].reshape(self.rows, self.cols + 1)
+        image = np.frombuffer(text, dtype=np.uint8, offset=len(header)).reshape(self.rows, self.cols + 1)
         image[:, self.cols] = ord("\n")
         step = max(_PARSE_BYTES // max(self.cols, 1), 1)
         for lo in range(0, self.rows if self.cols else 0, step):
             bits = np.unpackbits(self._packed[lo : lo + step], axis=1, count=self.cols, bitorder="little")
             np.add(bits, ord("0"), out=image[lo : lo + step, : self.cols])
-        return str(text, "ascii")
+        return text
 
     @classmethod
-    def from_f2mat(cls, text: str | bytes) -> BitMatrix:
-        """Parse f2mat text, given as a str or as the bytes of an ASCII file
-        (a non-ASCII byte reads as one character that is not 0/1)."""
+    def from_f2mat(cls, text: str | bytes | bytearray) -> BitMatrix:
+        """Parse f2mat text, given as a str or as ASCII bytes: a file's, or
+        what to_f2mat returns (a non-ASCII byte reads as one character that
+        is not 0/1)."""
         # the first line, without a copy of the rest
-        end = text.find(b"\n" if isinstance(text, bytes) else "\n")
+        end = text.find("\n" if isinstance(text, str) else b"\n")
         header = text[: end if end >= 0 else len(text)]
-        if isinstance(header, bytes):
+        if not isinstance(header, str):
             header = header.decode("ascii", "replace")
         if not header.startswith("f2mat"):
             raise F2MatFormatError("missing 'f2mat' header")
@@ -365,7 +366,7 @@ class BitMatrix:
         # with no rows, cols may exceed any array dimension
         packed = _read_image(text, len(header) + 1, rows, cols) if rows else None
         if packed is None:
-            if isinstance(text, bytes):
+            if not isinstance(text, str):
                 text = text.decode("ascii", "replace")
             packed = _parse_lines(text.split("\n")[1:], rows, cols)
         return cls._wrap(packed, cols)
@@ -385,7 +386,7 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
-def _read_image(text: str | bytes, start: int, rows: int, cols: int) -> np.ndarray | None:
+def _read_image(text: str | bytes | bytearray, start: int, rows: int, cols: int) -> np.ndarray | None:
     """The packed rows of well-formed f2mat text whose rows begin at
     text[start], else None.
 
@@ -486,60 +487,99 @@ def echelon(row_ints: Iterable[int]) -> tuple[dict[int, int], list[int]]:
 
 
 # row count from which rank_of_row_ints runs _byte_rank rather than echelon;
-# full-rank square inputs cross over between 320 and 384 rows on a 2-CPU Xeon
-BYTE_RANK_MIN_ROWS = 384
+# random full-rank squares and G(n, 1/2) cross over between 192 and 224 rows
+# on a 2-CPU Xeon (sparse full-rank squares, whose byte columns miss in the
+# first 64 rows, near 384)
+BYTE_RANK_MIN_ROWS = 256
+
+# trailing rows whose leading byte values _byte_rank searches for pivots
+# before it falls back to the whole column; 8 independent byte values span
+# all 256, which a random column gives within about 10 rows
+_PIVOT_PREFIX = 64
+_COMBINATIONS = np.arange(256)  # index of each combination in a table
+# block bytes that one _byte_rank update gathers and XORs at a time, so the
+# gathered table rows are still in cache when they are XORed
+_UPDATE_BYTES = 1 << 19
+
+
+def _independent(values: Iterable[int]) -> list[int]:
+    """Positions of the byte values that a leading-bit echelon keeps when
+    they are inserted in order, stopping at 8 (a full span)."""
+    pivots: dict[int, int] = {}
+    chosen = []
+    for i, x in enumerate(values):
+        v = _reduce(pivots, x)
+        if v:
+            pivots[v.bit_length() - 1] = v
+            chosen.append(i)
+            if len(chosen) == 8:
+                break
+    return chosen
 
 
 def _byte_rank(packed: np.ndarray) -> int:
-    """GF(2) rank of a writable (rows, bytes) uint8 array of little-endian
-    row bytes, by the Method of Four Russians one byte column at a time.
-    Destroys its input.
+    """GF(2) rank of a (rows, bytes) uint8 array of little-endian row
+    bytes, by the Method of Four Russians one byte column at a time.
+    Does not write its input.
 
-    For byte column j the rows r.. not yet pivots are zero in every byte
-    before j.  Up to 8 of them whose byte j values are independent, chosen
-    by an echelon of the distinct values in first-appearance order, are
-    swapped to r..r+k-1; every later row then gets the combination of
-    them whose byte j equals its own, read from a table of all 2^k
-    combinations, which clears byte j.  Each update adds pivot rows to a
-    non-pivot row, so the rank is the number of rows chosen.  A column
-    that is zero in rows r.. is skipped, and the pass ends once those
-    rows are zero in every later byte too.
+    The rows not yet pivots are one C-contiguous block that starts at the
+    current group of 8 byte columns, copied once per group.  For byte
+    column j they are zero in every byte before j.  Up to 8 of them whose
+    byte j values are independent are swapped to the top of the block:
+    the first such rows among the top _PIVOT_PREFIX, or, when those span
+    fewer than 8 dimensions and a later row is nonzero in byte j, an
+    echelon of the column's distinct values in first-appearance order.
+    Every later row then gets the combination of them whose byte j equals
+    its own, read from a table of all 2^k combinations over the block's
+    full width (the pivots are zero before j too, so every gather and XOR
+    is contiguous), which clears byte j; the update runs over
+    _UPDATE_BYTES of the block at a time.  Each update adds pivot rows to
+    a non-pivot row, so the rank is the number of rows chosen.  A column
+    that is zero in the block stays zero under the updates, so the pass
+    jumps from it to the next column that is not, and ends when there is
+    none.
     """
-    m = packed
-    rows, n_bytes = m.shape
-    r = 0
-    for j in range(n_bytes):
-        if r == rows:
-            break
-        if not m[r:, j].any():
-            if not m[r:, j + 1 :].any():
+    block = packed.copy()
+    start = 0  # the byte column of block[:, 0]
+    lookup = np.empty(256, dtype=np.intp)
+    r = j = 0
+    while j < packed.shape[1] and len(block):
+        if j - start >= 8:  # the bytes before j's group are zero in the block
+            block = block[:, j - j % 8 - start :].copy()
+            start = j - j % 8
+        c = j - start
+        col = block[:, c]
+        if not col.any():
+            later = block[:, c + 1 :].any(axis=0)
+            if not later.any():
                 break
+            j += 1 + int(later.argmax())
             continue
-        values, first = np.unique(m[r:, j], return_index=True)
-        pivots: dict[int, int] = {}
-        chosen = []
-        for i in np.argsort(first).tolist():
-            v = _reduce(pivots, int(values[i]))
-            if v:
-                pivots[v.bit_length() - 1] = v
-                chosen.append(r + int(first[i]))
-                if len(chosen) == 8:
-                    break
-        # the chosen rows move to r..r+k-1 and the rows there move to the
+        chosen = _independent(col[:_PIVOT_PREFIX].tolist())
+        if len(chosen) < 8 and col[_PIVOT_PREFIX:].any():
+            values, first = np.unique(col, return_index=True)
+            order = np.argsort(first)
+            chosen = first[order][_independent(values[order].tolist())].tolist()
+        # the chosen rows move to 0..k-1 and the rows there move to the
         # places the chosen ones left, in one gather
         k = len(chosen)
-        slots = range(r, r + k)
-        vacated = [c for c in chosen if c >= r + k]
-        displaced = [s for s in slots if s not in chosen]
-        m[[*slots, *vacated], j:] = m[[*chosen, *displaced], j:]
-        table = np.zeros((1 << k, n_bytes - j), dtype=np.uint8)
+        vacated = [i for i in chosen if i >= k]
+        if vacated:
+            displaced = [i for i in range(k) if i not in chosen]
+            block[[*range(k), *vacated]] = block[[*chosen, *displaced]]
+        table = np.zeros((1 << k, block.shape[1]), dtype=np.uint8)
         for t in range(k):
-            np.bitwise_xor(table[: 1 << t], m[r + t, j:], out=table[1 << t : 2 << t])
+            np.bitwise_xor(table[: 1 << t], block[t], out=table[1 << t : 2 << t])
         # values outside the span index past the table and raise
-        lookup = np.full(256, 256, dtype=np.intp)
-        lookup[table[:, 0]] = np.arange(1 << k)
+        lookup.fill(256)
+        lookup[table[:, c]] = _COMBINATIONS[: 1 << k]
         r += k
-        m[r:, j:] ^= table[lookup[m[r:, j]]]
+        block = block[k:]
+        index = lookup[block[:, c]]
+        step = max(_UPDATE_BYTES // block.shape[1], 1)
+        for lo in range(0, len(block), step):
+            block[lo : lo + step] ^= table.take(index[lo : lo + step], axis=0)
+        j += 1
     return r
 
 
@@ -548,15 +588,15 @@ def rank_of_row_ints(row_ints: Sequence[int] | np.ndarray, cols: int) -> int:
     column j) or as the packed rows of a BitMatrix.
 
     Fewer than BYTE_RANK_MIN_ROWS rows go through echelon on integers; from
-    that many on, _byte_rank ranks a copy of the packed rows.  Raises
-    ValueError if an integer row is negative or has a bit at or above cols.
+    that many on, _byte_rank ranks the packed rows.  Raises ValueError if
+    an integer row is negative or has a bit at or above cols.
     """
     if isinstance(row_ints, np.ndarray):
         if len(row_ints) >= BYTE_RANK_MIN_ROWS:
-            return _byte_rank(row_ints.copy())
+            return _byte_rank(row_ints)
         row_ints = _ints(row_ints)
     elif len(row_ints) >= BYTE_RANK_MIN_ROWS:
-        return _byte_rank(BitMatrix(len(row_ints), cols, row_ints).packed.copy())
+        return _byte_rank(BitMatrix(len(row_ints), cols, row_ints).packed)
     elif any(r >> cols for r in row_ints):
         raise ValueError("row bits outside declared width")
     return len(echelon(row_ints)[1])

@@ -211,7 +211,7 @@ def test_criterion_14_determinism(tmp_path, capsys):
     ok = True
     # byte-identical CLI output on repeated runs
     path = tmp_path / "g.f2m"
-    path.write_text(g2_power(2).adj.to_f2mat())
+    path.write_bytes(g2_power(2).adj.to_f2mat())
     for argv in (
         ["construct", "--family", "g2pow", "--param", "2", "--format", "graph6"],
         ["verify", str(path), "--json"],

@@ -9,6 +9,7 @@ import random
 import signal
 import tempfile
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,10 +17,10 @@ from f2rank import search
 from f2rank.cli import main
 from f2rank.gf2 import BitMatrix
 from f2rank.graph import Graph, from_graph6
-from f2rank.constructions import g2_power, linegraph_clique_plus_isolated
+from f2rank.constructions import extremal_odd_plus_one, g2_power, linegraph_clique_plus_isolated
 from f2rank.search import N3_SPAN
 
-from conftest import relabel
+from conftest import random_graph, relabel
 
 
 def run(capsys, *argv):
@@ -112,19 +113,19 @@ def test_construct_param_over_order_cap(monkeypatch, capsys):
 
 def test_verify_pass_and_fail(tmp_path, capsys):
     good = tmp_path / "good.f2m"
-    good.write_text(g2_power(3).adj.to_f2mat())
+    good.write_bytes(g2_power(3).adj.to_f2mat())
     code, out, _ = run(capsys, "verify", str(good), "--expect-n", "6")
     assert code == 0 and "overall: PASS" in out
 
     bad = tmp_path / "bad.f2m"
-    bad.write_text(g2_power(1).adj.to_f2mat())
+    bad.write_bytes(g2_power(1).adj.to_f2mat())
     code, out, _ = run(capsys, "verify", str(bad), "--expect-n", "3")
     assert code == 1 and "overall: FAIL" in out
 
 
 def test_verify_json_schema(tmp_path, capsys):
     path = tmp_path / "g.f2m"
-    path.write_text(g2_power(2).adj.to_f2mat())
+    path.write_bytes(g2_power(2).adj.to_f2mat())
     code, out, _ = run(capsys, "verify", str(path), "--json")
     assert code == 0
     payload = json.loads(out)
@@ -140,7 +141,7 @@ def test_verify_json_schema(tmp_path, capsys):
 def test_verify_json_degenerate_srg(tmp_path, capsys):
     # the order-4 member's core is a triangle: mu has no witness -> null
     path = tmp_path / "g2.f2m"
-    path.write_text(g2_power(1).adj.to_f2mat())
+    path.write_bytes(g2_power(1).adj.to_f2mat())
     code, out, _ = run(capsys, "verify", str(path), "--expect-n", "2", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -151,7 +152,7 @@ def test_verify_json_degenerate_srg(tmp_path, capsys):
 def test_verify_expect_n_out_of_range(tmp_path, capsys):
     # 2^n is never built for an n that cannot match the order
     path = tmp_path / "g2.f2m"
-    path.write_text(g2_power(1).adj.to_f2mat())
+    path.write_bytes(g2_power(1).adj.to_f2mat())
     for n in (10**9, -1):
         code, out, _ = run(capsys, "verify", str(path), "--expect-n", str(n))
         assert code == 1
@@ -163,7 +164,7 @@ def test_verify_expect_n_out_of_range(tmp_path, capsys):
 def test_verify_small_orders(tmp_path, capsys):
     for order in (0, 1):
         path = tmp_path / f"k{order}.f2m"
-        path.write_text(BitMatrix.zeros(order, order).to_f2mat())
+        path.write_bytes(BitMatrix.zeros(order, order).to_f2mat())
         code, out, _ = run(capsys, "verify", str(path), "--json")
         assert code == 1
         entry = {c["name"]: c for c in json.loads(out)["checks"]}["spectrum_matches_analytic"]
@@ -199,7 +200,7 @@ def _graph_file(n: int, bits: int) -> bytes:
     when bit k of bits is."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = [e for k, e in enumerate(pairs) if (bits >> k) & 1]
-    return Graph.from_edges(n, edges).adj.to_f2mat().encode()
+    return bytes(Graph.from_edges(n, edges).adj.to_f2mat())
 
 
 # at most 2 KB each, so no input asks for a large order
@@ -282,7 +283,7 @@ def test_random_input_files_exit_cleanly(data, command):
 
 def test_rank_command(tmp_path, capsys):
     path = tmp_path / "lk6.f2m"
-    path.write_text(linegraph_clique_plus_isolated(6).adj.to_f2mat())
+    path.write_bytes(linegraph_clique_plus_isolated(6).adj.to_f2mat())
     code, out, _ = run(capsys, "rank", str(path))
     assert code == 0 and out == "4\n"
 
@@ -290,14 +291,14 @@ def test_rank_command(tmp_path, capsys):
 def test_rank_command_relabelled_member(tmp_path, capsys):
     # order 1024: the byte-column kernel's side of the switch
     path = tmp_path / "g32.f2m"
-    path.write_text(relabel(g2_power(5), random.Random(9)).adj.to_f2mat())
+    path.write_bytes(relabel(g2_power(5), random.Random(9)).adj.to_f2mat())
     code, out, _ = run(capsys, "rank", str(path))
     assert code == 0 and out == "10\n"
 
 
 def test_spectrum_command(tmp_path, capsys):
     path = tmp_path / "g2.f2m"
-    path.write_text(g2_power(1).adj.to_f2mat())
+    path.write_bytes(g2_power(1).adj.to_f2mat())
     code, out, _ = run(capsys, "spectrum", str(path))
     assert code == 0
     spec = json.loads(out)
@@ -365,15 +366,15 @@ def test_search_workers_env(capsys, monkeypatch):
 def test_iso_command(tmp_path, capsys):
     a = tmp_path / "a.f2m"
     b = tmp_path / "b.f2m"
-    a.write_text(linegraph_clique_plus_isolated(6).adj.to_f2mat())
-    b.write_text(g2_power(2).adj.to_f2mat())
+    a.write_bytes(linegraph_clique_plus_isolated(6).adj.to_f2mat())
+    b.write_bytes(g2_power(2).adj.to_f2mat())
     code, out, _ = run(capsys, "iso", str(a), str(b))
     assert code == 0
     payload = json.loads(out)
     assert payload["isomorphic"] is True and len(payload["witness"]) == 16
 
     c = tmp_path / "c.f2m"
-    c.write_text(g2_power(1).adj.to_f2mat())
+    c.write_bytes(g2_power(1).adj.to_f2mat())
     code, out, _ = run(capsys, "iso", str(a), str(c))
     assert code == 1 and json.loads(out)["isomorphic"] is False
 
@@ -389,8 +390,8 @@ def test_iso_command_family_file_first(tmp_path, capsys):
     perm = random.Random(9).sample(range(g.order), g.order)
     a = tmp_path / "a.f2m"
     b = tmp_path / "b.f2m"
-    a.write_text(g.adj.to_f2mat())
-    b.write_text(g.adj.conjugate(perm).to_f2mat())
+    a.write_bytes(g.adj.to_f2mat())
+    b.write_bytes(g.adj.conjugate(perm).to_f2mat())
 
     def expire(signum, frame):
         raise _Deadline("iso took more than 5 s")
@@ -416,7 +417,7 @@ def test_iso_command_order_1024(tmp_path, capsys):
     # one search depth per vertex: a recursive search overflows the stack here
     a = tmp_path / "a.f2m"
     b = tmp_path / "b.f2m"
-    a.write_text(g2_power(5).adj.to_f2mat())
+    a.write_bytes(g2_power(5).adj.to_f2mat())
     b.write_text(a.read_text())
     code, out, _ = run(capsys, "iso", str(a), str(b))
     assert code == 0
@@ -428,7 +429,7 @@ def test_convert_round_trip(tmp_path, capsys):
     f2m = tmp_path / "g.f2m"
     g6 = tmp_path / "g.g6"
     back = tmp_path / "back.f2m"
-    f2m.write_text(g2_power(2).adj.to_f2mat())
+    f2m.write_bytes(g2_power(2).adj.to_f2mat())
     assert run(capsys, "convert", str(f2m), str(g6), "--format", "graph6")[0] == 0
     assert run(capsys, "convert", str(g6), str(back), "--format", "f2mat")[0] == 0
     assert back.read_text() == f2m.read_text()
@@ -440,15 +441,82 @@ def test_convert_round_trip_constructed_families(tmp_path, capsys):
         f2m = tmp_path / "in.f2m"
         g6 = tmp_path / "mid.g6"
         back = tmp_path / "out.f2m"
-        f2m.write_text(g.adj.to_f2mat())
+        f2m.write_bytes(g.adj.to_f2mat())
         run(capsys, "convert", str(f2m), str(g6), "--format", "graph6")
         run(capsys, "convert", str(g6), str(back), "--format", "f2mat")
         assert back.read_text() == f2m.read_text()
 
 
+def _reference_texts(g: Graph) -> dict[str, str]:
+    """The f2mat text written row by row and the graph6 line networkx
+    writes, made without the program's codecs."""
+    n = g.order
+    rows = ["".join(str(g.adj.get(i, j)) for j in range(n)) for i in range(n)]
+    gx = nx.Graph()
+    gx.add_nodes_from(range(n))
+    gx.add_edges_from((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] == "1")
+    return {
+        "f2mat": f"f2mat {n} {n}\n" + "".join(row + "\n" for row in rows),
+        "graph6": nx.to_graph6_bytes(gx, header=False).decode("ascii"),
+    }
+
+
+def _outputs(tmp_path, argv) -> tuple[bytes, str]:
+    """What the command argv(out) writes to the file out, and what argv(None)
+    writes to stdout (captured as text, the way the benchmark runs the CLI)."""
+    path = tmp_path / "out"
+    assert main(argv(str(path))) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv(None)) == 0
+    return path.read_bytes(), out.getvalue()
+
+
+@pytest.mark.parametrize("family, param, build", [
+    ("g2pow", 1, g2_power),  # order 4
+    ("linegraph-k", 5, linegraph_clique_plus_isolated),  # order 11: rows not whole bytes
+    ("odd", 3, extremal_odd_plus_one),  # order 8
+    ("g2pow", 3, g2_power),  # order 64
+])
+@pytest.mark.parametrize("fmt", ["f2mat", "graph6"])
+def test_construct_output_matches_reference_text(tmp_path, family, param, build, fmt):
+    want = _reference_texts(build(param))[fmt]
+    argv = ["construct", "--family", family, "--param", str(param), "--format", fmt]
+    file_bytes, stdout = _outputs(tmp_path, lambda out: argv + (["--out", out] if out else []))
+    assert file_bytes == want.encode("ascii") and stdout == want
+
+
+@pytest.mark.parametrize("order", [0, 1, 4, 11, 64])
+@pytest.mark.parametrize("source", ["f2mat", "graph6"])
+@pytest.mark.parametrize("fmt", ["f2mat", "graph6"])
+def test_convert_output_matches_reference_text(tmp_path, order, source, fmt):
+    texts = _reference_texts(random_graph(random.Random(order), order))
+    src = tmp_path / "in"
+    src.write_text(texts[source])
+    file_bytes, stdout = _outputs(tmp_path, lambda out: ["convert", str(src), *([out] if out else []), "--format", fmt])
+    assert file_bytes == texts[fmt].encode("ascii") and stdout == texts[fmt]
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_stdout_written_in_blocks(tmp_path, monkeypatch, block):
+    # stdout gets the output decoded a block at a time: the text is the
+    # same for any block size
+    from f2rank import cli
+
+    monkeypatch.setattr(cli, "_STDOUT_BYTES", block)
+    texts = _reference_texts(random_graph(random.Random(11), 11))
+    src = tmp_path / "in.f2m"
+    src.write_text(texts["f2mat"])
+    for fmt in ("f2mat", "graph6"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["convert", str(src), "--format", fmt]) == 0
+        assert out.getvalue() == texts[fmt]
+
+
 def test_cli_determinism(tmp_path, capsys):
     path = tmp_path / "g.f2m"
-    path.write_text(g2_power(2).adj.to_f2mat())
+    path.write_bytes(g2_power(2).adj.to_f2mat())
     outputs = set()
     for _ in range(2):
         _, out, _ = run(capsys, "verify", str(path), "--json")

@@ -182,7 +182,7 @@ def test_transpose_matches_unpacked(rows, cols, rnd):
     assert t.transpose() == m
 
 
-@pytest.mark.parametrize("rows", [BYTE_RANK_MIN_ROWS - 1, BYTE_RANK_MIN_ROWS, 400])
+@pytest.mark.parametrize("rows", [BYTE_RANK_MIN_ROWS - 1, BYTE_RANK_MIN_ROWS, 383, 384, 400])
 @pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 63, 64, 65, 400])
 def test_rank_leaves_matrix_unchanged(rows, cols):
     rng = random.Random(rows * 1000 + cols)
@@ -292,14 +292,14 @@ def _mixed_identity(rng: random.Random, n: int, r: int, cols: int | None = None)
 # (rows, cols, rank) on both sides of BYTE_RANK_MIN_ROWS, widths that are
 # not whole bytes included
 _KNOWN_RANKS = (
+    (200, 200, 137),
+    (255, 255, 0),
+    (255, 255, 255),
     (256, 256, 0),
     (256, 256, 1),
     (256, 256, 255),
     (256, 256, 256),
     (300, 300, 137),
-    (383, 383, 383),
-    (384, 384, 0),
-    (384, 384, 1),
     (384, 384, 384),
     (400, 300, 299),
     (512, 512, 500),
@@ -332,7 +332,7 @@ def test_rank_routes_by_row_count(monkeypatch):
         rank_of_row_ints(below, BYTE_RANK_MIN_ROWS - 1)
 
 
-@pytest.mark.parametrize("n", [3, BYTE_RANK_MIN_ROWS])
+@pytest.mark.parametrize("n", [3, BYTE_RANK_MIN_ROWS, 384])
 def test_rank_rejects_bits_outside_width(n):
     for bad in (1 << 9, -1):
         rows = [0] * (n - 1) + [bad]
@@ -359,17 +359,82 @@ def _rank_input(rnd: random.Random, rows: int, cols: int, kind: str) -> list[int
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.integers(0, 80),
-    st.integers(0, 80),
+    st.integers(0, 200),
+    st.integers(0, 200),
     st.sampled_from(["random", "sparse", "duplicates", "low_rank"]),
     st.randoms(use_true_random=False),
 )
 def test_byte_rank_matches_echelon(rows, cols, kind, rnd):
+    """Past 64 rows and 64 columns, so a block is copied per 8 byte columns
+    and low-rank columns miss in the first 64 rows."""
     row_ints = _rank_input(rnd, rows, cols, kind)
     data = np.array([[(r >> j) & 1 for j in range(cols)] for r in row_ints], dtype=np.uint8)
     packed = np.packbits(data.reshape(rows, cols), axis=1, bitorder="little")
     assert packed.shape == (rows, (cols + 7) // 8)
+    before = packed.copy()
     assert _byte_rank(packed) == len(echelon(row_ints)[1])
+    assert np.array_equal(packed, before)
+
+
+@pytest.mark.parametrize("rows", [9, 64, 65, 130, 700])
+@pytest.mark.parametrize("cols", [63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("kind", ["random", "low_rank"])
+def test_byte_rank_block_widths(rows, cols, kind):
+    # widths around one and two 8-byte column groups, wide and tall
+    row_ints = _rank_input(random.Random(rows * 1000 + cols), rows, cols, kind)
+    assert _byte_rank(BitMatrix(rows, cols, row_ints).packed) == len(echelon(row_ints)[1])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_byte_rank_pivots_below_the_prefix(monkeypatch, seed):
+    # the top rows are combinations of d < 8 rows, so in every column the
+    # first 64 rows of the block span fewer than 8 dimensions until they
+    # run out; random rows further down add the rest
+    rng = random.Random(seed)
+    cols = rng.choice([63, 64, 65, 127, 128, 129, 200])
+    d = rng.randrange(1, 8)
+    basis = [rng.getrandbits(cols) for _ in range(d)]
+    rows = [_combine(basis, rng.getrandbits(d)) for _ in range(rng.randrange(65, 300))]
+    rows += [rng.getrandbits(cols) for _ in range(rng.randrange(1, 40))]
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(len(a[0])) or unique(*a, **k))
+    assert _byte_rank(BitMatrix(len(rows), cols, rows).packed) == len(echelon(rows)[1])
+    assert calls  # the whole column was searched
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_byte_rank_skips_zero_columns(seed):
+    # rows nonzero in at most three byte columns: the pass jumps over the
+    # zero ones, across several 8-byte groups when the matrix is wide
+    rng = random.Random(seed)
+    cols = rng.choice([70, 200, 513])
+    live = rng.sample(range((cols + 7) // 8), 3)
+    mask = sum(0xFF << 8 * b for b in live) & ((1 << cols) - 1)
+    basis = [rng.getrandbits(cols) & mask for _ in range(rng.randrange(1, 25))]
+    rows = [_combine(basis, rng.getrandbits(len(basis))) for _ in range(rng.randrange(1, 300))]
+    assert _byte_rank(BitMatrix(len(rows), cols, rows).packed) == len(echelon(rows)[1])
+
+
+@pytest.mark.parametrize("update_bytes", [1, 100, 1 << 12])
+def test_byte_rank_update_blocks(monkeypatch, update_bytes):
+    # the update runs a slice of rows at a time: the rank is the same for
+    # any slice size, one row included
+    monkeypatch.setattr(gf2, "_UPDATE_BYTES", update_bytes)
+    rnd = random.Random(update_bytes)
+    for rows, cols, kind in [(300, 129, "random"), (130, 300, "low_rank"), (500, 64, "sparse")]:
+        row_ints = _rank_input(rnd, rows, cols, kind)
+        assert _byte_rank(BitMatrix(rows, cols, row_ints).packed) == len(echelon(row_ints)[1])
+
+
+def test_rank_of_packed_rows_leaves_them_unchanged():
+    rng = random.Random(14)
+    for n, cols in [(BYTE_RANK_MIN_ROWS, 65), (600, 129), (1000, 1000)]:
+        ints = [rng.getrandbits(cols) for _ in range(n)]
+        packed = BitMatrix(n, cols, ints).packed.copy()  # writable
+        before = packed.copy()
+        assert rank_of_row_ints(packed, cols) == len(echelon(ints)[1])
+        assert np.array_equal(packed, before)
 
 
 # ---------------------------------------------------------------------------
@@ -537,22 +602,23 @@ def test_f2mat_round_trip():
     for _ in range(20):
         m = random_bitmatrix(rng, rng.randrange(0, 9), rng.randrange(0, 9))
         text = m.to_f2mat()
-        assert BitMatrix.from_f2mat(text) == m
-        assert text.endswith("\n") and " \n" not in text
+        assert BitMatrix.from_f2mat(text) == BitMatrix.from_f2mat(text.decode("ascii")) == m
+        assert text.endswith(b"\n") and b" \n" not in text
 
 
 def test_f2mat_exact_text():
-    assert g2().adj.to_f2mat() == "f2mat 4 4\n0110\n1010\n1100\n0000\n"
+    assert g2().adj.to_f2mat() == b"f2mat 4 4\n0110\n1010\n1100\n0000\n"
 
 
 @given(st.integers(0, 12), st.integers(0, 70), st.randoms(use_true_random=False))
 def test_f2mat_round_trip_property(rows, cols, rnd):
     """Widths that are not whole bytes, rows = 0 and cols = 0 included."""
     m = random_bitmatrix(rnd, rows, cols)
-    text = m.to_f2mat()
+    data = m.to_f2mat()
+    text = data.decode("ascii")
     # reference text: one row at a time, character j is column j
     assert text == f"f2mat {rows} {cols}\n" + "".join(m.row(i).to01() + "\n" for i in range(rows))
-    assert BitMatrix.from_f2mat(text) == BitMatrix.from_f2mat(text.encode("ascii")) == m
+    assert BitMatrix.from_f2mat(text) == BitMatrix.from_f2mat(bytes(data)) == BitMatrix.from_f2mat(data) == m
     assert BitMatrix.from_bool_array(m.to_bool_array()) == m
     assert m.to_bool_array().tolist() == [[m.get(i, j) for j in range(cols)] for i in range(rows)]
 
@@ -597,7 +663,7 @@ def test_f2mat_parse_blocks(monkeypatch, block):
         with pytest.raises(F2MatFormatError, match=f"^{re.escape(message)}$"):
             BitMatrix.from_f2mat(text)
     m = random_bitmatrix(random.Random(60), 37, 29)
-    text = m.to_f2mat()
+    text = m.to_f2mat().decode("ascii")
     assert BitMatrix.from_f2mat(text) == m
     bad = text.split("\n")
     bad[30] = bad[30][:7] + "2" + bad[30][8:]
@@ -610,7 +676,7 @@ def test_from_f2mat_peak_memory_order_4096():
     # the rows (its line list), the packed rows and per-block temporaries,
     # but no second copy and no whole-matrix mask
     m = g2_power(6).adj
-    text = m.to_f2mat()
+    text = m.to_f2mat().decode("ascii")
     tracemalloc.start()
     try:
         got = BitMatrix.from_f2mat(text)
@@ -631,7 +697,7 @@ def test_from_f2mat_reads_bytes_in_place():
     with pytest.raises(F2MatFormatError, match="^row 2 is not 2 characters of 0/1$"):
         BitMatrix.from_f2mat(b"f2mat 2 2\n00\n0\xe9\n")
     m = g2_power(6).adj
-    data = m.to_f2mat().encode("ascii")
+    data = bytes(m.to_f2mat())
     tracemalloc.start()
     try:
         got = BitMatrix.from_f2mat(data)
