@@ -96,7 +96,8 @@ def _exceeds_order_cap(family: str, param: int) -> bool:
     """True when the member would have more than CONSTRUCT_ORDER_CAP
     vertices; computes no power of two above the cap."""
     if family == "linegraph-k":
-        return param * (param - 1) // 2 + 1 > CONSTRUCT_ORDER_CAP
+        # C(k, 2) + 1 grows only from k = 1 on; a smaller k is the builder's to refuse
+        return param > 1 and param * (param - 1) // 2 + 1 > CONSTRUCT_ORDER_CAP
     exponent = 2 * param if family == "g2pow" else param
     return exponent > CONSTRUCT_ORDER_CAP.bit_length() - 1
 

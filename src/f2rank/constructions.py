@@ -8,7 +8,6 @@ import numpy as np
 
 from .gf2 import BitMatrix, standard_form_blocks
 from .graph import Graph, line_graph
-from .products import parity_product_graph
 
 
 def g2() -> Graph:
@@ -28,6 +27,20 @@ def complete_graph(n: int) -> Graph:
 _G2_CODES = np.array([2, 1, 3, 0])
 
 
+def _g2_power_codes(m: int) -> np.ndarray:
+    """The code of every vertex of g2_power(m), one base-4 digit per bit pair."""
+    v = np.arange(4**m)
+    codes = np.zeros_like(v)
+    for t in range(m):
+        codes |= _G2_CODES[(v >> 2 * t) & 3] << 2 * t
+    return codes
+
+
+def _standard_form_graph(codes: np.ndarray, width: int) -> Graph:
+    (packed,) = standard_form_blocks(codes, width, codes.size)
+    return Graph(BitMatrix.from_packed(packed, codes.size))
+
+
 def g2_power(m: int) -> Graph:
     """Left-associated parity-product power of g2: order 4^m, rank 2m.
 
@@ -40,12 +53,7 @@ def g2_power(m: int) -> Graph:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    v = np.arange(4**m)
-    codes = np.zeros_like(v)
-    for t in range(m):
-        codes |= _G2_CODES[(v >> 2 * t) & 3] << 2 * t
-    (packed,) = standard_form_blocks(codes, 2 * m, v.size)
-    return Graph(BitMatrix.from_packed(packed, v.size))
+    return _standard_form_graph(_g2_power_codes(m), 2 * m)
 
 
 def linegraph_clique_plus_isolated(k: int) -> Graph:
@@ -61,11 +69,12 @@ def linegraph_clique_plus_isolated(k: int) -> Graph:
 def extremal_odd_plus_one(n: int) -> Graph:
     """Twin-free graph of order 2^n and rank n+1, for odd n >= 3.
 
-    The adjacency matrix is the block form [A | ~A ; ~A | A] with A the
-    adjacency of g2_power((n-1)/2), i.e. the parity product of a single
-    edge with that power.
+    The parity product of an edge with A = g2_power(k), k = (n-1)/2, is the
+    block form [A | ~A ; ~A | A]: the standard form on A's codes with top
+    bit pair 01, then 10: the complement of the hyperplane x_2k + x_2k+1 = 0.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    k2 = Graph.from_edges(2, [(0, 1)])
-    return parity_product_graph(k2, g2_power((n - 1) // 2))
+    k = (n - 1) // 2
+    codes = _g2_power_codes(k)
+    return _standard_form_graph(np.concatenate([codes | 1 << 2 * k, codes | 2 << 2 * k]), n + 1)

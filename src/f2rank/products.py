@@ -73,16 +73,3 @@ def parity_product_graph(g: Graph, h: Graph) -> Graph:
     """Graph on V(g) x V(h); (a,x) ~ (b,y) iff exactly one of a~b, x~y."""
     return Graph(parity_product(g.adj, h.adj))
 
-
-def swap_operands_permutation(n: int, m: int) -> list[int]:
-    """Index map from the (n,m)-major composite order to the (m,n)-major one.
-
-    perm[i*m + k] = k*n + i, so conjugating the B-major product by it
-    reproduces the A-major product; states commutativity of the parity
-    product up to operand swap.
-    """
-    perm = [0] * (n * m)
-    for i in range(n):
-        for k in range(m):
-            perm[i * m + k] = k * n + i
-    return perm

@@ -131,7 +131,7 @@ def _structured_matrix(x: int, y: int, z: int) -> list[int]:
     return rows
 
 
-def nonexistence_n3_structured() -> bool:
+def n3_structured_certificate() -> dict:
     """All eight fillings of the forced order-8 candidate have duplicate rows."""
     for coeffs in _N3_COEFFS:
         if len(coeffs) != 8:
@@ -158,6 +158,7 @@ def nonexistence_n3_structured() -> bool:
         if _N3_COEFFS[6][j] != want:
             raise AssertionError("coset relation broken in coefficient matrix")
 
+    violations = []
     for assignment in range(8):
         x, y, z = assignment & 1, (assignment >> 1) & 1, (assignment >> 2) & 1
         rows = _structured_matrix(x, y, z)
@@ -168,16 +169,6 @@ def nonexistence_n3_structured() -> bool:
                 if ((rows[i] >> j) & 1) != ((rows[j] >> i) & 1):
                     raise AssertionError("filled matrix not symmetric")
         if len(set(rows)) == 8:
-            return False
-    return True
-
-
-def n3_structured_certificate() -> dict:
-    violations = []
-    for assignment in range(8):
-        x, y, z = assignment & 1, (assignment >> 1) & 1, (assignment >> 2) & 1
-        rows = _structured_matrix(x, y, z)
-        if len(set(rows)) == 8:
             violations.append([x, y, z])
     return {
         "mode": "n3-structured",
@@ -186,6 +177,11 @@ def n3_structured_certificate() -> dict:
         "stats": {"assignments_with_duplicate_rows": 8 - len(violations)},
         "pass": not violations,
     }
+
+
+def nonexistence_n3_structured() -> bool:
+    """True iff the structured certificate passes."""
+    return n3_structured_certificate()["pass"]
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +491,6 @@ def run_exhaustive_sweep(
     for p in parts:
         out = out.merge(p)
     return out
-
-
-def nonexistence_n3_exhaustive(workers: int = 1) -> bool:
-    """True iff no symmetric zero-diagonal 8x8 matrix has GF(2)-rank 3, so
-    none is twin-free of rank 3."""
-    return run_exhaustive_sweep(workers=workers).rank_counts[3] == 0
 
 
 def alternating_rank_histogram(n: int) -> list[int]:

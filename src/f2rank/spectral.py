@@ -107,11 +107,3 @@ def analytic_spectrum(m: int) -> Spectrum:
     ]
     return Spectrum.from_pairs((v, mult) for v, mult in pairs if mult > 0)
 
-
-def sign_spectrum_expected(m: int) -> Spectrum:
-    """Spectrum of the signed adjacency: +/-sqrt(N) with trace-N multiplicities."""
-    n_big = 4**m
-    root = 2**m
-    return Spectrum.from_pairs(
-        [(float(root), (n_big + root) // 2), (float(-root), (n_big - root) // 2)]
-    )

@@ -69,6 +69,8 @@ CONSTRUCT_DIGESTS = {
     ('odd', 7, 'graph6'): "d4860499d71611c0e3e07c5f959db1affd30798fccd29f43c48c115c9bd73f90",
     ('odd', 9, 'f2mat'): "a4e571bcb9b924b2fd345cf44b78ce7d8aca6084c7c2dd10ad48d5d0ee7e3aea",
     ('odd', 9, 'graph6'): "b109c23e84ec23eb9fe9aa291d7c72dc3090cb1aec9b08f01bf00ea04fd06548",
+    ('odd', 11, 'f2mat'): "b630ef1d3b8ace41fc20ff59230f31e9ce0f3cc9ae1a90fcc446d319b15a52a4",
+    ('odd', 13, 'f2mat'): "05be65cf0686a07cfbc09da5b4c01b916afb549157f3ac4822fa36959ae7ece0",
     ('linegraph-k', 5, 'f2mat'): "8dab3d7ac3a30b799eea55271c08b57b0df58e7547808c92ce0f07c41214ca83",
     ('linegraph-k', 5, 'graph6'): "c22d613317a99706f36b8b1974d3ff64c03a3561ab99aa407471ad5b331d2d84",
     ('linegraph-k', 8, 'f2mat'): "f304a71fa57b6be2bc3fbca00e8d1674af253412e7055075573cdce1f2e264b3",
@@ -90,6 +92,13 @@ def test_construct_golden_digests(tmp_path, capsys, family, param, fmt):
 def test_construct_bad_param(capsys):
     code, _, err = run(capsys, "construct", "--family", "odd", "--param", "4")
     assert code == 2 and "error" in err
+    # a negative param is the builder's error, not the order cap's
+    for family, param, message in [("linegraph-k", -1000, "k must be >= 5"),
+                                   ("linegraph-k", -1, "k must be >= 5"),
+                                   ("g2pow", -3, "m must be >= 1"),
+                                   ("odd", -5, "n must be odd and >= 3")]:
+        code, out, err = run(capsys, "construct", "--family", family, "--param", str(param))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_construct_param_over_order_cap(monkeypatch, capsys):

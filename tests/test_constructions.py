@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
+
+from f2rank import products
 
 from f2rank.gf2 import rows_form_subspace
 from f2rank.graph import Graph, is_negation_free, is_twin_free, line_graph
@@ -74,6 +78,43 @@ def test_linegraph_clique_plus_isolated():
     assert linegraph_clique_plus_isolated(8).rank() <= 6
     with pytest.raises(ValueError):
         linegraph_clique_plus_isolated(4)
+
+
+@pytest.mark.parametrize("n", range(3, 12, 2))
+def test_extremal_odd_matches_parity_product_oracle(n):
+    # the code-set builder against the parity product of an edge with the
+    # power, byte for byte
+    got = extremal_odd_plus_one(n).adj
+    want = parity_product_graph(Graph.from_edges(2, [(0, 1)]), g2_power((n - 1) // 2)).adj
+    assert (got.rows, got.cols) == (want.rows, want.cols) == (2**n, 2**n)
+    assert got.packed.tobytes() == want.packed.tobytes()
+
+
+def test_families_built_without_products(monkeypatch, capsys):
+    # every family member comes from the builders alone; the product layer
+    # is an oracle, so replace it everywhere it is bound
+    from f2rank.cli import main
+
+    def refuse(*args):
+        raise AssertionError("the product layer was called")
+
+    originals = {products.parity_product, products.parity_product_graph}
+    for name, module in list(sys.modules.items()):
+        if name == "f2rank" or name.startswith("f2rank."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in originals):
+                    monkeypatch.setattr(module, attr, refuse)
+    assert g2() == g2_power(1)
+    assert complete_graph(5).order == 5
+    for m in range(1, 5):
+        assert g2_power(m).order == 4**m
+    for k in (5, 6, 9):
+        assert linegraph_clique_plus_isolated(k).order == k * (k - 1) // 2 + 1
+    for n in (3, 5, 7, 9):
+        assert extremal_odd_plus_one(n).order == 2**n
+    for family, param in [("g2pow", 3), ("linegraph-k", 7), ("odd", 5)]:
+        assert main(["construct", "--family", family, "--param", str(param)]) == 0
+    capsys.readouterr()
 
 
 def test_extremal_odd_block_structure():

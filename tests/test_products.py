@@ -15,12 +15,25 @@ from f2rank.products import (
     parity_product,
     parity_product_graph,
     sign_map,
-    swap_operands_permutation,
     unsign_map,
 )
 from f2rank.constructions import g2
 
 from conftest import random_bitmatrix, random_graph, xor_matrices
+
+
+def swap_operands_permutation(n: int, m: int) -> list[int]:
+    """Index map from the (n,m)-major composite order to the (m,n)-major one.
+
+    perm[i*m + k] = k*n + i, so conjugating the B-major product by it
+    reproduces the A-major product; states commutativity of the parity
+    product up to operand swap.
+    """
+    perm = [0] * (n * m)
+    for i in range(n):
+        for k in range(m):
+            perm[i * m + k] = k * n + i
+    return perm
 
 
 def test_sign_map_displayed_matrix():

@@ -12,12 +12,20 @@ from f2rank.spectral import (
     analytic_spectrum,
     graph_spectrum,
     is_hadamard,
-    sign_spectrum_expected,
     symmetric_spectrum,
 )
 from f2rank.constructions import g2, g2_power
 
 from conftest import random_graph
+
+
+def sign_spectrum_expected(m: int) -> Spectrum:
+    """Spectrum of the signed adjacency: +/-sqrt(N) with trace-N multiplicities."""
+    n_big = 4**m
+    root = 2**m
+    return Spectrum.from_pairs(
+        [(float(root), (n_big + root) // 2), (float(-root), (n_big - root) // 2)]
+    )
 
 
 def test_spectrum_type():
