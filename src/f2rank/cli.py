@@ -23,6 +23,7 @@ from .constructions import (
 )
 from .search import (
     N3_SPAN,
+    SweepWorkerError,
     n2_certificate,
     n3_exhaustive_certificate,
     n3_structured_certificate,
@@ -257,7 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, SweepWorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,13 +16,13 @@ once per block; the residual matrix, of order 4 in 868 of the 1024 blocks,
 goes to the bit-sliced kernel, whose steps are word-wide boolean ops that
 advance 64 eliminations at once, and a 3-bit bit-sliced counter keeps
 rank/2.  The sweep's whole result is its rank histogram, and the scalar
-reference path is the test oracle.  Work partitions into disjoint counter
-ranges whose histograms add, so the outcome is independent of worker count.
+reference path is the test oracle.  Every sweeping process, the caller and
+its children, claims blocks one at a time from a shared counter, and the
+histograms add, so the outcome is independent of worker count.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -35,7 +35,6 @@ from .constructions import g2
 N3_ORDER = 8
 N3_PAIRS = list(combinations(range(N3_ORDER), 2))
 N3_SPAN = 1 << len(N3_PAIRS)  # 2^28 candidates
-DEFAULT_CHUNK = 1 << 22
 _FREE = 18  # counter bits 0..17 are the entries that touch vertices 0..2
 # words per sweep block: its 2^18 counters share bits 18..27, the 5x5 block C
 # on vertices 3..7, and the 18 free planes take 0.6 MB
@@ -247,14 +246,13 @@ class _BitSliced:
     of each of up to `words` words: every entry that touches vertices 0..2.
     The 5x5 block C on vertices 3..7, counter bits _FREE..27, is one integer
     per call.  The planes are only read: an updated entry (i, j) goes to its
-    own scratch row _own[_PLANE[i][j]].  One instance serves every block of
-    a sweep_range call.
+    own scratch row _own[_PLANE[i][j]].  One instance serves every block
+    that one sweeping process ranks.
     """
 
     def __init__(self, words: int):
         self.planes = np.empty((_FREE, words), dtype=np.uint64)
         self._own = np.empty((len(N3_PAIRS), words), dtype=np.uint64)
-        self._zero = np.zeros(words, dtype=np.uint64)
         self._row = np.empty((N3_ORDER, words), dtype=np.uint64)
         self._seen = np.empty((2, words), dtype=np.uint64)
         self._pick = np.empty(words, dtype=np.uint64)
@@ -318,74 +316,99 @@ class _BitSliced:
                     for t in terms[1:]:
                         np.bitwise_xor(dst, t, out=dst)
                     e[i][l] = e[l][i] = dst
-        for i, l in combinations(live[3:], 2):
-            e[i][l] = e[l][i] = self._zero[:w]
-        return s, self.rank_half(e, live)
+        # the loop stops when every live entry inside C is the int 0, so the
+        # residual, with C's vertices first, is [[0, X], [X^T, B]], and
+        # rank_half leaves out the ops on its zero block
+        return s, self.rank_half(e, live[3:] + live[:3])
+
+    def _and_xor(self, base, terms, out: np.ndarray):
+        """base ^ x0 & y0 ^ x1 & y1 ^ ... into out, where an int operand is
+        a known zero: every term with an int factor is left out, and an int
+        base adds nothing.  Returns base itself when no term is left, else
+        out; out may be base, and it borrows tmp row 0."""
+        terms = [(x, y) for x, y in terms if not isinstance(x, int) and not isinstance(y, int)]
+        if not terms:
+            return base
+        tmp = self._tmp[0, : out.size]
+        (x, y), *rest = terms
+        if isinstance(base, int):
+            np.bitwise_and(x, y, out=out)
+        else:
+            np.bitwise_and(x, y, out=tmp)
+            np.bitwise_xor(base, tmp, out=out)
+        for x, y in rest:
+            np.bitwise_and(x, y, out=tmp)
+            np.bitwise_xor(out, tmp, out=out)
+        return out
 
     def rank_half(self, e: list[list], live: list[int]) -> np.ndarray:
         """rank/2 of the alternating matrices e[live][:, live], of order
         n = len(live) >= 4, as three bit planes (bit b of rank/2 in row b).
 
-        Every entry of e among live is a word array of one length; bit l of
-        an entry is that entry of lane l.  Entries are read, never written:
-        an update replaces e[i][l] by a scratch row.  Step k takes row k (r)
-        and its lowest set bit q: pick_j marks the lanes with q = j (r_j
-        set, every earlier r_j' clear), the running OR of r (seen) marks
-        those with r nonzero, and row q is R = OR_j pick_j & row j.  a_kq = 1
-        pivots the pair (k, q): E[i][l] ^= R_i & r_l ^ r_i & R_l over i < l
-        beyond k keeps the matrix alternating, zeroes row q and lowers the
-        rank by 2 (row and column k are never read again); a zero r makes R
-        zero.  Steps run on all but the last four vertices a, b, c, d, which
-        then hold a 4x4 alternating matrix: its rank is 4 when its Pfaffian
-        ab.cd + ac.bd + ad.bc is 1, and 2 when it is 0 but some entry is 1,
-        so two counts replace the last step.
+        Every entry of e among live is a word array of one length, or the
+        int 0 for an entry known to be zero in every lane; bit l of an entry
+        is that entry of lane l.  Entries are read, never written: an update
+        replaces e[i][l] by a scratch row.  Step k takes row k (r) and its
+        lowest set bit q: pick_j marks the lanes with q = j (r_j set, every
+        earlier r_j' clear), the running OR of r (seen) marks those with r
+        nonzero, and row q is R = OR_j pick_j & row j.  a_kq = 1 pivots the
+        pair (k, q): E[i][l] ^= R_i & r_l ^ r_i & R_l over i < l beyond k
+        keeps the matrix alternating, zeroes row q and lowers the rank by 2
+        (row and column k are never read again); a zero r makes R zero.
+        Every op with a known-zero operand is left out, so an entry between
+        two vertices whose r entries are known zeros stays one: on
+        [[0, X], [X^T, B]] with the zero block first, it stays zero while
+        the steps run over that block.  Steps run on all but the last four
+        vertices a, b, c, d, which then hold a 4x4 alternating matrix: its
+        rank is 4 when its Pfaffian ab.cd + ac.bd + ad.bc is 1, and 2 when
+        it is 0 but some entry is 1, so two counts replace the last step.
         """
-        w = e[live[0]][live[1]].size
-        rows, (tmp, pf) = self._row[:, :w], self._tmp[:, :w]
-        seen, prev = self._seen[:, :w]
+        w = next(x.size for row in e for x in row if isinstance(x, np.ndarray))
+        rows = self._row[:, :w]
+        seen_rows = list(self._seen[:, :w])
         half = self._half[:, :w]
         half.fill(0)
         for step, k in enumerate(live[:-4]):
             rest = live[step + 1 :]
             r = e[k]
-            started = set()
+            seen, row_q = 0, {}  # row_q[l] = R_l, for each l whose R_l is not a known zero
             for j in rest:
-                if j == rest[0]:
-                    np.copyto(seen, r[j])
-                    pick = r[j]
+                if isinstance(r[j], int):
+                    continue  # pick_j is zero
+                if isinstance(seen, int):
+                    seen = pick = r[j]
                 else:
-                    pick = self._pick[:w]
-                    seen, prev = prev, seen
+                    prev = seen
+                    seen = seen_rows[prev is seen_rows[0]]
                     np.bitwise_or(prev, r[j], out=seen)
+                    pick = self._pick[:w]
                     np.bitwise_xor(seen, prev, out=pick)
                 for l in rest:
-                    if l == j:
+                    if l == j or isinstance(e[j][l], int):
                         continue
-                    if l in started:
-                        np.bitwise_and(pick, e[j][l], out=tmp)
-                        np.bitwise_or(rows[l], tmp, out=rows[l])
+                    if l in row_q:
+                        np.bitwise_and(pick, e[j][l], out=self._tmp[0, :w])
+                        np.bitwise_or(rows[l], self._tmp[0, :w], out=rows[l])
                     else:
-                        np.bitwise_and(pick, e[j][l], out=rows[l])
-                        started.add(l)
+                        row_q[l] = np.bitwise_and(pick, e[j][l], out=rows[l])
             for i, l in combinations(rest, 2):
-                dst = self._own[_PLANE[i][l], :w]
-                np.bitwise_and(rows[i], r[l], out=tmp)
-                np.bitwise_xor(e[i][l], tmp, out=dst)
-                np.bitwise_and(r[i], rows[l], out=tmp)
-                np.bitwise_xor(dst, tmp, out=dst)
-                e[i][l] = e[l][i] = dst
-            self._count(half, seen)
+                terms = ((row_q.get(i, 0), r[l]), (r[i], row_q.get(l, 0)))
+                e[i][l] = e[l][i] = self._and_xor(e[i][l], terms, self._own[_PLANE[i][l], :w])
+            if not isinstance(seen, int):
+                self._count(half, seen)
         a, b, c, d = live[-4:]
-        np.bitwise_and(e[a][b], e[c][d], out=pf)
-        np.bitwise_and(e[a][c], e[b][d], out=tmp)
-        np.bitwise_xor(pf, tmp, out=pf)
-        np.bitwise_and(e[a][d], e[b][c], out=tmp)
-        np.bitwise_xor(pf, tmp, out=pf)
-        np.bitwise_or(e[a][b], e[a][c], out=seen)
-        for x in (e[a][d], e[b][c], e[b][d], e[c][d]):
-            np.bitwise_or(seen, x, out=seen)
-        self._count(half, seen)
-        self._count(half, pf)
+        pf = self._and_xor(
+            0, ((e[a][b], e[c][d]), (e[a][c], e[b][d]), (e[a][d], e[b][c])), self._tmp[1, :w]
+        )
+        nonzero = [x for x in (e[a][b], e[a][c], e[a][d], e[b][c], e[b][d], e[c][d])
+                   if not isinstance(x, int)]
+        if nonzero:
+            seen = nonzero[0]
+            for x in nonzero[1:]:
+                seen = np.bitwise_or(seen, x, out=seen_rows[0])
+            self._count(half, seen)
+        if not isinstance(pf, int):
+            self._count(half, pf)
         return half
 
 
@@ -423,16 +446,17 @@ def _packed_rank(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def sweep_range(start: int, stop: int) -> SweepStats:
-    """Examine counters [start, stop) with the bit-sliced kernel.
+def _sweep_blocks(start: int, stop: int, blocks) -> SweepStats:
+    """Examine the counters in [start, stop) of each sweep block in blocks
+    with one bit-sliced kernel.
 
     Counter 64w + l is lane l of word w.  Words go in aligned blocks of
     _WORDS, whose counters share bits _FREE..27, so the block index is C,
     and the planes of bits 0.._FREE-1 are the same in every block: lane
-    patterns, then runs of zero and all-ones words, filled once.  The
-    kernel ranks the block's words that meet the range, and lanes outside
-    [start, stop) in the first and last word are masked out of the
-    histogram.
+    patterns, then runs of zero and all-ones words, filled once, before the
+    first block is taken.  The kernel ranks the block's words that meet
+    the range, and lanes outside [start, stop) in the first and last word
+    are masked out of the histogram.
     """
     counts = np.zeros(N3_ORDER + 1, dtype=np.int64)
     kernel = _BitSliced(_WORDS)
@@ -441,7 +465,7 @@ def sweep_range(start: int, stop: int) -> SweepStats:
     for b in range(_FREE - 6):
         kernel.planes[6 + b].reshape(-1, 2, 1 << b)[:] = runs
     first, last = start >> 6, (stop - 1) >> 6
-    for block in range(first // _WORDS, last // _WORDS + 1):
+    for block in blocks:
         base = block * _WORDS
         lo, hi = max(first - base, 0), min(last + 1 - base, _WORDS)
         s, half = kernel(block, lo, hi)
@@ -458,6 +482,16 @@ def sweep_range(start: int, stop: int) -> SweepStats:
     return SweepStats(counts.tolist())
 
 
+def _block_bounds(start: int, stop: int) -> tuple[int, int]:
+    """The sweep blocks [first, stop_block) that meet counters [start, stop)."""
+    return start >> _FREE, ((stop - 1) >> _FREE) + 1
+
+
+def sweep_range(start: int, stop: int) -> SweepStats:
+    """Examine counters [start, stop) with one bit-sliced kernel."""
+    return _sweep_blocks(start, stop, range(*_block_bounds(start, stop)))
+
+
 def sweep_range_reference(start: int, stop: int) -> SweepStats:
     """Pure-Python per-candidate sweep; oracle for the vectorized engine."""
     stats = SweepStats()
@@ -467,30 +501,88 @@ def sweep_range_reference(start: int, stop: int) -> SweepStats:
     return stats
 
 
-def _sweep_task(bounds: tuple[int, int]) -> SweepStats:
-    return sweep_range(*bounds)
+class SweepWorkerError(RuntimeError):
+    """A sweep worker process raised, or exited without sending its result."""
 
 
-def run_exhaustive_sweep(
-    start: int = 0,
-    stop: int = N3_SPAN,
-    workers: int = 1,
-    chunk: int = DEFAULT_CHUNK,
-) -> SweepStats:
-    """Partitioned sweep; chunk layout is fixed, so the combined result is
-    identical for any worker count."""
+def _claimed(next_block, stop_block: int):
+    """Sweep blocks taken one at a time from the shared counter next_block
+    (a multiprocessing.Value) until stop_block: every sweeping process draws
+    from it, so each block goes to exactly one of them."""
+    while True:
+        with next_block.get_lock():
+            block = next_block.value
+            next_block.value = block + 1
+        if block >= stop_block:
+            return
+        yield block
+
+
+def _sweep_child(start: int, stop: int, next_block, stop_block: int, conn) -> None:
+    """A sweep worker process: sends the SweepStats of the blocks it
+    claimed, or the text of the exception that stopped it."""
+    try:
+        result = _sweep_blocks(start, stop, _claimed(next_block, stop_block))
+    except Exception as exc:
+        result = f"{type(exc).__name__}: {exc}"
+    conn.send(result)
+
+
+def run_exhaustive_sweep(start: int = 0, stop: int = N3_SPAN, workers: int = 1) -> SweepStats:
+    """Sweep counters [start, stop) on min(workers, blocks) processes: the
+    caller and one child for each other worker.
+
+    One worker is sweep_range.  Otherwise each process builds one kernel
+    and claims sweep blocks one at a time from a shared counter, so a
+    process that runs faster ranks more of them; histograms add, so the
+    result does not depend on which process ranks a block.  When a child
+    raises or exits without its result, every other child is terminated
+    and joined, and SweepWorkerError is raised; no child outlives the call.
+    """
     if not 0 <= start < stop <= N3_SPAN:
         raise ValueError(f"sweep range needs 0 <= start < stop <= {N3_SPAN}, got [{start}, {stop})")
-    bounds = [(b, min(b + chunk, stop)) for b in range(start, stop, chunk)]
-    if workers <= 1 or len(bounds) <= 1:
-        parts = [_sweep_task(b) for b in bounds]
-    else:
-        with multiprocessing.Pool(processes=min(workers, len(bounds))) as pool:
-            parts = pool.map(_sweep_task, bounds)
-    out = SweepStats()
-    for p in parts:
-        out = out.merge(p)
-    return out
+    first, stop_block = _block_bounds(start, stop)
+    processes = min(workers, stop_block - first)
+    if processes <= 1:
+        return sweep_range(start, stop)
+    # only a parallel sweep pays for the import.  Children come from the
+    # platform's default start method, fork on Linux, so they start without
+    # importing numpy and f2rank again (about 0.2 s a child, against about
+    # 20 ms for a 2^24-counter range on one worker)
+    import multiprocessing
+
+    next_block = multiprocessing.Value("q", first)
+    children = []
+    done = False
+    try:
+        for _ in range(processes - 1):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_sweep_child, args=(start, stop, next_block, stop_block, send), daemon=True
+            )
+            child.start()
+            send.close()
+            children.append((child, recv))
+        total = _sweep_blocks(start, stop, _claimed(next_block, stop_block))
+        for child, recv in children:
+            try:
+                part = recv.recv()
+            except EOFError:
+                child.join()
+                raise SweepWorkerError(
+                    f"sweep worker exited with code {child.exitcode} before sending its result"
+                ) from None
+            if not isinstance(part, SweepStats):
+                raise SweepWorkerError(f"sweep worker failed: {part}")
+            total = total.merge(part)
+        done = True
+    finally:
+        for child, recv in children:
+            if not done:
+                child.terminate()
+            child.join()
+            recv.close()
+    return total
 
 
 def alternating_rank_histogram(n: int) -> list[int]:

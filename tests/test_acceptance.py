@@ -229,7 +229,7 @@ def test_criterion_14_determinism(tmp_path, capsys):
             outs.add(out)
             ok = ok and code == 0
         ok = ok and len(outs) == 1
-    # sweep result is identical for 1, 2, 4, 8 workers (fixed chunk layout)
+    # sweep result is identical for 1, 2, 4, 8 workers (histograms add over blocks)
     results = [run_exhaustive_sweep(stop=1 << 24, workers=w) for w in (1, 2, 4, 8)]
     ok = ok and all(r == results[0] for r in results)
     with capsys.disabled():

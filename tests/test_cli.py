@@ -4,16 +4,19 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import random
 import signal
+import subprocess
+import sys
 import tempfile
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f2rank import search
+import f2rank
 from f2rank.cli import main
 from f2rank.gf2 import BitMatrix
 from f2rank.graph import Graph, from_graph6
@@ -247,8 +250,8 @@ def _sweep_command(start: int, width: int, workers: int) -> list[str]:
     ]
 
 
-# ranges at most 4096 wide, so one chunk each and never a pool; near 0 and
-# near N3_SPAN, empty, reversed and out of bounds included
+# ranges at most 4096 wide, so inside one sweep block and never a child
+# process; near 0 and near N3_SPAN, empty, reversed and out of bounds included
 _SWEEP_COMMANDS = st.builds(
     _sweep_command,
     st.one_of(st.integers(-2, 8192), st.integers(N3_SPAN - 4096, N3_SPAN + 2)),
@@ -257,8 +260,8 @@ _SWEEP_COMMANDS = st.builds(
 )
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a process pool was started")
+def _no_process(*args, **kwargs):
+    raise AssertionError("a sweep process was started")
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,8 +272,8 @@ def test_random_input_files_exit_cleanly(data, command):
         fd, paths[name] = tempfile.mkstemp(suffix=".in")
         with os.fdopen(fd, "wb") as fh:
             fh.write(content)
-    pool = search.multiprocessing.Pool
-    search.multiprocessing.Pool = _no_pool
+    process = multiprocessing.Process
+    multiprocessing.Process = _no_process
     try:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -279,7 +282,7 @@ def test_random_input_files_exit_cleanly(data, command):
             except SystemExit as exc:  # an argparse usage error
                 code = exc.code
     finally:
-        search.multiprocessing.Pool = pool
+        multiprocessing.Process = process
         for path in paths.values():
             os.unlink(path)
     assert code in (0, 1, 2)
@@ -364,6 +367,13 @@ def test_search_negative_workers(capsys):
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
         assert captured.err == f"error: argument --workers: must be 0 (F2RANK_THREADS) or more, got {workers}\n"
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only a parallel sweep imports it, so verify, iso and construct never pay for it
+    src = os.path.dirname(os.path.dirname(f2rank.__file__))
+    code = "import sys, f2rank.cli; sys.exit('multiprocessing' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
 
 
 def test_search_workers_env(capsys, monkeypatch):

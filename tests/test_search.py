@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
+import signal
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +13,7 @@ from f2rank.gf2 import rank_of_row_ints, symplectic_coordinates
 from f2rank.graph import Graph
 from f2rank.constructions import g2, g2_power, linegraph_clique_plus_isolated
 from f2rank import search
+from f2rank.cli import main
 from f2rank.search import (
     N3_PAIRS,
     N3_SPAN,
@@ -274,44 +277,129 @@ def test_sweep_rank_matches_scalar_on_samples():
         assert rank_of_row_ints(rows, 8) == r
 
 
+# unaligned ranges over several 2^18-counter sweep blocks: blocks 0..3, and
+# blocks 1..3 starting inside a word
+_MULTI_BLOCK_RANGES = [
+    ((1 << 18) - 100, 3 * (1 << 18) + 50),
+    ((1 << 18) + 12345, 4 * (1 << 18) - 1),
+]
+
+
 def test_sweep_partition_independence():
-    stop = 1 << 18
-    whole = run_exhaustive_sweep(stop=stop, chunk=stop)
-    quarters = run_exhaustive_sweep(stop=stop, chunk=stop // 4)
-    eighths = run_exhaustive_sweep(stop=stop, chunk=stop // 8)
-    assert whole == quarters == eighths == sweep_range(0, stop)
-    assert whole.candidates_examined == stop
+    # however the blocks fall to processes, every counter is ranked once
+    for start, stop in _MULTI_BLOCK_RANGES:
+        whole = sweep_range(start, stop)
+        assert whole.candidates_examined == stop - start
+        for workers in (1, 2, 3, 4):
+            assert run_exhaustive_sweep(start=start, stop=stop, workers=workers) == whole
 
 
 def test_sweep_worker_independence_small():
-    stop = 1 << 18
-    results = [
-        run_exhaustive_sweep(stop=stop, chunk=1 << 16, workers=w) for w in (1, 2, 4)
-    ]
-    assert results[0] == results[1] == results[2]
+    # slices small enough for the scalar oracle, across a block edge
+    for start, stop in (((1 << 18) - 300, (1 << 18) + 200), ((5 << 18) - 7, (5 << 18) + 65)):
+        want = sweep_range_reference(start, stop)
+        for workers in (1, 2, 3, 4):
+            assert run_exhaustive_sweep(start=start, stop=stop, workers=workers) == want
 
 
-def test_sweep_pool_size_bounded_by_chunks(monkeypatch):
-    sizes = []
+@pytest.fixture
+def started(monkeypatch):
+    """The sweep processes started while a test runs."""
+    procs = []
 
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    class Recording(multiprocessing.Process):
+        def start(self):
+            procs.append(self)
+            super().start()
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(multiprocessing, "Process", Recording)
+    return procs
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items):
-            return [fn(x) for x in items]
+def test_sweep_starts_one_child_per_extra_block_worker(started):
+    start, stop = _MULTI_BLOCK_RANGES[0]  # four blocks
+    serial = sweep_range(start, stop)
+    for workers, children in ((1, 0), (2, 1), (3, 2), (4, 3), (64, 3)):
+        del started[:]
+        assert run_exhaustive_sweep(start=start, stop=stop, workers=workers) == serial
+        assert len(started) == children
+        assert all(p.exitcode == 0 for p in started)
+    # a range inside one block starts no child at any worker count
+    for bounds in ((0, 1 << 14), (5 << 18, 6 << 18), ((7 << 18) + 3, (8 << 18) - 3)):
+        del started[:]
+        assert run_exhaustive_sweep(*bounds, workers=64) == sweep_range(*bounds)
+        assert started == []
+    assert multiprocessing.active_children() == []
 
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    serial = run_exhaustive_sweep(stop=1 << 14, chunk=1 << 12)
-    assert run_exhaustive_sweep(stop=1 << 14, chunk=1 << 12, workers=64) == serial
-    assert run_exhaustive_sweep(stop=1 << 14, chunk=1 << 12, workers=3) == serial
-    assert sizes == [4, 3]
+
+def test_sweep_claims_each_block_once_with_more_workers_than_cores():
+    # eight processes contend for the shared block counter; a lost update
+    # ranks a block twice or never, which changes the histogram
+    start, stop = (3 << 18) - 5, (19 << 18) + 5  # 17 blocks
+    want = sweep_range(start, stop)
+
+    def expire(signum, frame):
+        raise TimeoutError("the sweep took more than 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        for _ in range(3):
+            assert run_exhaustive_sweep(start=start, stop=stop, workers=8) == want
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def _failing_kernel(monkeypatch, fail, in_children=True):
+    """Make every sweep kernel built in a child process, or with
+    in_children=False every one built in this process, call fail()."""
+    parent, init = os.getpid(), search._BitSliced.__init__
+
+    def patched(self, words):
+        if (os.getpid() != parent) == in_children:
+            fail()
+        init(self, words)
+
+    monkeypatch.setattr(search._BitSliced, "__init__", patched)
+
+
+def _raise():
+    raise MemoryError("kernel planes")
+
+
+@pytest.mark.parametrize(
+    "fail, message",
+    [
+        pytest.param(_raise, "error: sweep worker failed: MemoryError: kernel planes\n", id="raises"),
+        pytest.param(
+            lambda: os._exit(3),
+            "error: sweep worker exited with code 3 before sending its result\n",
+            id="exits",
+        ),
+    ],
+)
+def test_sweep_worker_failure_is_one_error(monkeypatch, capsys, fail, message):
+    _failing_kernel(monkeypatch, fail)
+    start, stop = _MULTI_BLOCK_RANGES[0]
+    with pytest.raises(search.SweepWorkerError):
+        run_exhaustive_sweep(start=start, stop=stop, workers=3)
+    assert multiprocessing.active_children() == []
+    argv = ["search", "--mode", "n3-exhaustive", "--start", str(start), "--stop", str(stop)]
+    assert main([*argv, "--workers", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+    assert multiprocessing.active_children() == []
+    # the calling process still sweeps on its own
+    assert main([*argv, "--workers", "1"]) == 0
+
+
+def test_sweep_failure_in_caller_stops_children(monkeypatch):
+    _failing_kernel(monkeypatch, _raise, in_children=False)
+    with pytest.raises(MemoryError):
+        run_exhaustive_sweep(start=0, stop=N3_SPAN, workers=3)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("n", range(11))
