@@ -345,13 +345,15 @@ class BitMatrix:
     @classmethod
     def from_f2mat(cls, text: str | bytes | bytearray) -> BitMatrix:
         """Parse f2mat text, given as a str or as ASCII bytes: a file's, or
-        what to_f2mat returns (a non-ASCII byte reads as one character that
-        is not 0/1)."""
-        # the first line, without a copy of the rest
-        end = text.find("\n" if isinstance(text, str) else b"\n")
-        header = text[: end if end >= 0 else len(text)]
-        if not isinstance(header, str):
-            header = header.decode("ascii", "replace")
+        what to_f2mat returns.  A str is encoded once, one byte per
+        character ("replace"), so a non-ASCII character or byte reads as
+        one that is not 0/1; messages quote the header as given.  The rows
+        are read in place as one fixed-width image (_read_rows); only text
+        that read rejects is split into lines, to name its first fault."""
+        data = text.encode("ascii", "replace") if isinstance(text, str) else text
+        end = data.find(b"\n")
+        end = end if end >= 0 else len(data)
+        header = text[:end] if isinstance(text, str) else data[:end].decode("ascii", "replace")
         if not header.startswith("f2mat"):
             raise F2MatFormatError("missing 'f2mat' header")
         fields = header.split(" ")
@@ -363,12 +365,9 @@ class BitMatrix:
             raise F2MatFormatError(f"bad header line: {header!r}") from exc
         if rows < 0 or cols < 0:
             raise F2MatFormatError("negative dimensions in header")
-        # with no rows, cols may exceed any array dimension
-        packed = _read_image(text, len(header) + 1, rows, cols) if rows else None
+        packed = _read_rows(data, end + 1, rows, cols)
         if packed is None:
-            if not isinstance(text, str):
-                text = text.decode("ascii", "replace")
-            packed = _parse_lines(text.split("\n")[1:], rows, cols)
+            raise _first_fault(data, end + 1, rows, cols)
         return cls._wrap(packed, cols)
 
     def __eq__(self, other: object) -> bool:
@@ -386,70 +385,53 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
-def _read_image(text: str | bytes | bytearray, start: int, rows: int, cols: int) -> np.ndarray | None:
+def _read_rows(data: bytes | bytearray, start: int, rows: int, cols: int) -> np.ndarray | None:
     """The packed rows of well-formed f2mat text whose rows begin at
-    text[start], else None.
+    data[start], else None.
 
     Well-formed rows are a fixed-width image: rows lines of cols '0'/'1'
-    bytes and a newline, then nothing but newlines.  A str is encoded once
-    ("replace" keeps one byte per character), bytes are read in place, and
-    the image is checked and packed a block of rows at a time, so no
-    second copy and no whole-matrix mask is made.
+    bytes, each ending in a newline (the last may lack it), then only
+    newlines.  It is read in place, checked and packed a block of rows at
+    a time: no copy and no whole-matrix mask is made.
     """
     size = rows * (cols + 1)
-    if len(text) - start < size:
+    tail = len(data) - start - size  # -1: the last newline is missing
+    if tail < -1 or data.count(b"\n", start + size) < tail:
         return None
-    if isinstance(text, str):
-        text = text.encode("ascii", "replace")
-    data = np.frombuffer(text, dtype=np.uint8)
-    if (data[start + size :] != ord("\n")).any():
-        return None
-    image = data[start : start + size].reshape(rows, cols + 1)
+    if not rows:  # cols may exceed any array dimension
+        return np.empty((0, 0), dtype=np.uint8)
+    chars = np.ndarray((rows, cols), np.uint8, data, start, (cols + 1, 1))
+    ends = np.frombuffer(data, dtype=np.uint8)[start + cols :: cols + 1]
     packed = np.empty((rows, (cols + 7) // 8), dtype=np.uint8)
     step = max(_PARSE_BYTES // (cols + 1), 1)
+    bits = np.empty((min(step, rows), cols), dtype=np.uint8)
     for lo in range(0, rows, step):
-        block = image[lo : lo + step]
-        if (block[:, cols] != ord("\n")).any():
+        # uint8 bytes below '0' wrap around, so a byte other than '0'/'1'
+        # leaves a value above 1
+        block = np.subtract(chars[lo : lo + step], ord("0"), out=bits[: rows - lo])
+        if (cols and block.max() > 1) or (ends[lo : lo + step] != ord("\n")).any():
             return None
-        chars = block[:, :cols]
-        # '0' and '1' are adjacent codes, so min and max find a stray byte
-        if cols and (chars.min() < ord("0") or chars.max() > ord("1")):
-            return None
-        packed[lo : lo + step] = np.packbits(chars & 1, axis=1, bitorder="little")
+        packed[lo : lo + step] = np.packbits(block, axis=1, bitorder="little")
     return packed
 
 
-def _parse_lines(body: list[str], rows: int, cols: int) -> np.ndarray:
-    """The packed rows of the f2mat lines after the header, or the
-    F2MatFormatError that names what is wrong with them."""
-    if len(body) < rows:
-        raise F2MatFormatError(f"expected {rows} rows, found {len(body)}")
-    trailing = body[rows:]
-    if any(t != "" for t in trailing):
-        raise F2MatFormatError("trailing content after matrix rows")
-    # rows before the first one of the wrong length form a text image
-    # of width cols; its first byte other than '0'/'1' ("+1", "1_0" and
-    # " 1" included) names an earlier bad row ("replace" keeps one byte
-    # per character)
-    lengths = np.fromiter(map(len, body[:rows]), dtype=np.int64, count=rows)
-    k = int(np.append(lengths != cols, True).argmax())
-    # rows before k are encoded and packed a block at a time, so no
-    # second copy of the whole text and no whole-matrix mask is made
-    step = max(_PARSE_BYTES // max(cols, 1), 1)
-    # with k = 0 no row has width cols, which may exceed any dimension
-    packed = np.empty((k, (cols + 7) // 8 if k else 0), dtype=np.uint8)
-    for lo in range(0, k if cols else 0, step):
-        hi = min(lo + step, k)
-        chars = np.frombuffer("".join(body[lo:hi]).encode("ascii", "replace"), dtype=np.uint8)
-        chars = chars.reshape(hi - lo, cols)
-        # '0' and '1' are adjacent codes, so min and max find a stray byte
-        if chars.min() < ord("0") or chars.max() > ord("1"):
-            k = lo + int(((chars | 1) != ord("1")).any(axis=1).argmax())
-            break
-        packed[lo:hi] = np.packbits(chars & 1, axis=1, bitorder="little")
-    if k < rows:
-        raise F2MatFormatError(f"row {k + 1} is not {cols} characters of 0/1")
-    return packed
+def _first_fault(data: bytes | bytearray, start: int, rows: int, cols: int) -> F2MatFormatError:
+    """The error naming the first fault of f2mat rows that _read_rows
+    rejects: too few lines, then content after the rows, then the first
+    row that is not cols '0'/'1' bytes.  Only here is text split into
+    lines: their ends are found in place, and nothing is packed."""
+    bad, end = None, start - 1
+    for k in range(rows):
+        if end >= len(data):  # line k - 1 was the last
+            return F2MatFormatError(f"expected {rows} rows, found {k}")
+        lo, end = end + 1, data.find(b"\n", end + 1)
+        if end < 0:
+            end = len(data)
+        if bad is None and (end - lo != cols or data[lo:end].translate(None, b"01")):
+            bad = k
+    if data.count(b"\n", end) < len(data) - end:
+        return F2MatFormatError("trailing content after matrix rows")
+    return F2MatFormatError(f"row {bad + 1} is not {cols} characters of 0/1")
 
 
 # ---------------------------------------------------------------------------

@@ -528,6 +528,21 @@ def _sweep_child(start: int, stop: int, next_block, stop_block: int, conn) -> No
     conn.send(result)
 
 
+def _received(child, recv) -> SweepStats:
+    """The result a sweep child sent down recv, which is then closed;
+    SweepWorkerError for the text of its error, or for EOF."""
+    try:
+        part = recv.recv()
+    except EOFError:
+        child.join()
+        code = child.exitcode
+        raise SweepWorkerError(f"sweep worker exited with code {code} before sending its result") from None
+    if not isinstance(part, SweepStats):
+        raise SweepWorkerError(f"sweep worker failed: {part}")
+    recv.close()
+    return part
+
+
 def run_exhaustive_sweep(start: int = 0, stop: int = N3_SPAN, workers: int = 1) -> SweepStats:
     """Sweep counters [start, stop) on min(workers, blocks) processes: the
     caller and one child for each other worker.
@@ -535,9 +550,10 @@ def run_exhaustive_sweep(start: int = 0, stop: int = N3_SPAN, workers: int = 1) 
     One worker is sweep_range.  Otherwise each process builds one kernel
     and claims sweep blocks one at a time from a shared counter, so a
     process that runs faster ranks more of them; histograms add, so the
-    result does not depend on which process ranks a block.  When a child
-    raises or exits without its result, every other child is terminated
-    and joined, and SweepWorkerError is raised; no child outlives the call.
+    result does not depend on which process ranks a block.  The caller
+    reads each child's pipe between its blocks, so when a child raises or
+    exits without its result, every other child is terminated and joined
+    at once, and SweepWorkerError is raised; no child outlives the call.
     """
     if not 0 <= start < stop <= N3_SPAN:
         raise ValueError(f"sweep range needs 0 <= start < stop <= {N3_SPAN}, got [{start}, {stop})")
@@ -553,6 +569,13 @@ def run_exhaustive_sweep(start: int = 0, stop: int = N3_SPAN, workers: int = 1) 
 
     next_block = multiprocessing.Value("q", first)
     children = []
+    parts = []  # each child's result, read as soon as it is sent
+
+    def polled(blocks):
+        for block in blocks:
+            parts.extend(_received(c, r) for c, r in children if not r.closed and r.poll())
+            yield block
+
     done = False
     try:
         for _ in range(processes - 1):
@@ -563,17 +586,9 @@ def run_exhaustive_sweep(start: int = 0, stop: int = N3_SPAN, workers: int = 1) 
             child.start()
             send.close()
             children.append((child, recv))
-        total = _sweep_blocks(start, stop, _claimed(next_block, stop_block))
-        for child, recv in children:
-            try:
-                part = recv.recv()
-            except EOFError:
-                child.join()
-                raise SweepWorkerError(
-                    f"sweep worker exited with code {child.exitcode} before sending its result"
-                ) from None
-            if not isinstance(part, SweepStats):
-                raise SweepWorkerError(f"sweep worker failed: {part}")
+        total = _sweep_blocks(start, stop, polled(_claimed(next_block, stop_block)))
+        parts.extend(_received(c, r) for c, r in children if not r.closed)
+        for part in parts:
             total = total.merge(part)
         done = True
     finally:

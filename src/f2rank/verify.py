@@ -38,6 +38,8 @@ from .spectral import Spectrum, analytic_spectrum, graph_spectrum
 
 # orders above this get no spectrum payload from full_report
 SPECTRUM_CAP = 256
+# the basis argument of a caller that has not run subspace_basis
+_UNTESTED = object()
 
 
 @dataclass(frozen=True)
@@ -412,9 +414,10 @@ def _block_identity(m: np.ndarray, v: np.ndarray) -> bool:
     )
 
 
-def _coset_order(a: BitMatrix | Graph, basis: list[int] | None) -> tuple[np.ndarray, np.ndarray]:
+def _coset_order(a: BitMatrix | Graph, basis: object = _UNTESTED) -> tuple[np.ndarray, np.ndarray]:
     """The coset permutation of a subspace matrix and the matrix conjugated
-    by it, as a dense 0/1 array whose level-1 block identity holds.
+    by it, as a dense 0/1 array whose level-1 block identity holds.  A
+    caller that ran subspace_basis(a) passes its result, None included.
 
     With P the first-appearance basis and k_i the coordinates of row i in
     it, row i on the columns P is y_i = M k_i with M = a[P, P] invertible.
@@ -426,7 +429,7 @@ def _coset_order(a: BitMatrix | Graph, basis: list[int] | None) -> tuple[np.ndar
         a = a.adj
     elif not _is_symmetric_zero_diag(a):
         raise NotSubspaceMatrixError("matrix is not symmetric with zero diagonal")
-    basis = subspace_basis(a) if basis is None else basis
+    basis = subspace_basis(a) if basis is _UNTESTED else basis
     if basis is None:
         raise NotSubspaceMatrixError("rows do not form a subspace without repetition")
     if not basis:
@@ -462,7 +465,7 @@ def coset_decompose(a: BitMatrix | Graph) -> CosetDecomposition:
     coset vector u.  A Graph's adjacency was validated when the Graph was
     built; a bare BitMatrix is checked for symmetry and zero diagonal.
     """
-    perm, dense = _coset_order(a, None)
+    perm, dense = _coset_order(a)
     reordered = BitMatrix.from_bool_array(dense)
     half = reordered.rows // 2
     basis = [reordered.row(1 << i) for i in range(half.bit_length())]
@@ -481,16 +484,14 @@ def _vector(v: np.ndarray) -> BitVector:
     return BitMatrix.from_bool_array(v[None]).row(0)
 
 
-def decomposition_invariants(
-    a: BitMatrix | Graph, *, basis: list[int] | None = None
-) -> VerificationReport:
+def decomposition_invariants(a: BitMatrix | Graph, *, basis: object = _UNTESTED) -> VerificationReport:
     """Run both decomposition levels and check every block-structure claim.
 
     Index conventions: u is the first half of reordered row 2^(n-1) (its
     second half is checked equal); x, y are the first and second halves
     of u; w is the first quarter of reordered row 2^(n-2), and (s, t) are
-    that row's third and fourth quarters.  A caller that already holds
-    subspace_basis(a) passes it as basis.
+    that row's third and fourth quarters.  A caller that ran
+    subspace_basis(a) passes its result, None included, as basis.
     """
     report = VerificationReport()
     try:

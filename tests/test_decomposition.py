@@ -196,7 +196,7 @@ def test_coset_order_gather_matches_dense_take(m):
     # unpacked rows in coset order with their columns taken in that order
     rng = random.Random(60 + m)
     for g in [g2_power(m)] + [relabel(g2_power(m), rng) for _ in range(3 if m < 6 else 1)]:
-        perm, dense = verify._coset_order(g, None)
+        perm, dense = verify._coset_order(g)
         want = np.unpackbits(g.adj.packed[perm], axis=1, count=g.order, bitorder="little")
         assert np.array_equal(dense, want.take(perm, axis=1))
 

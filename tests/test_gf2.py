@@ -645,6 +645,11 @@ F2MAT_MALFORMED = {
     "f2mat 2 2\n00\n00\r\n": _ROW_2,
     "f2mat 1 99999999999999999999\n0\n": "row 1 is not 99999999999999999999 characters of 0/1",
     "f2mat 2 2\n00": "expected 2 rows, found 1",
+    # no newline after the header: no row lines at all
+    "f2mat 2 2": "expected 2 rows, found 0",
+    "f2mat 1 0": "expected 1 rows, found 0",
+    # the message quotes a str header as given, not as encoded
+    "f2mat \u00e9 2\n": "bad header line: 'f2mat \u00e9 2'",
 }
 
 
@@ -656,7 +661,7 @@ def test_f2mat_malformed(text):
 
 @pytest.mark.parametrize("block", [1, 3, 100])
 def test_f2mat_parse_blocks(monkeypatch, block):
-    # rows are encoded and checked a block of text at a time: every message
+    # rows are checked and packed a block of text at a time: every message
     # and every parsed matrix is the same for any block size
     monkeypatch.setattr(gf2, "_PARSE_BYTES", block)
     for text, message in F2MAT_MALFORMED.items():
@@ -673,8 +678,8 @@ def test_f2mat_parse_blocks(monkeypatch, block):
 
 def test_from_f2mat_peak_memory_order_4096():
     # the text belongs to the caller; parsing holds one N^2-byte copy of
-    # the rows (its line list), the packed rows and per-block temporaries,
-    # but no second copy and no whole-matrix mask
+    # the rows (its ASCII encoding), the packed rows and per-block
+    # temporaries, but no second copy and no whole-matrix mask
     m = g2_power(6).adj
     text = m.to_f2mat().decode("ascii")
     tracemalloc.start()
@@ -711,5 +716,143 @@ def test_from_f2mat_reads_bytes_in_place():
 def test_f2mat_empty_matrices():
     assert BitMatrix.from_f2mat("f2mat 0 5\n") == BitMatrix(0, 5)
     assert BitMatrix.from_f2mat("f2mat 3 0\n\n\n\n") == BitMatrix(3, 0)
+    # the last empty row without its newline, and a header without one
+    assert BitMatrix.from_f2mat("f2mat 3 0\n\n\n") == BitMatrix(3, 0)
+    assert BitMatrix.from_f2mat("f2mat 1 0\n") == BitMatrix(1, 0)
+    assert BitMatrix.from_f2mat("f2mat 0 3") == BitMatrix(0, 3)
     # no row to check the width against, and none is allocated
     assert BitMatrix.from_f2mat("f2mat 0 99999999999999999999\n").cols == 99999999999999999999
+
+
+def test_f2mat_accepts_missing_last_newline_and_blank_lines():
+    m = BitMatrix.from_strings(["01", "10"])
+    for text in ["f2mat 2 2\n01\n10", "f2mat 2 2\n01\n10\n\n\n"]:
+        assert BitMatrix.from_f2mat(text) == BitMatrix.from_f2mat(text.encode("ascii")) == m
+    # at order 4096 the rows are still read in place, not split
+    big = g2_power(6).adj
+    data = bytes(big.to_f2mat())[:-1]
+    tracemalloc.start()
+    try:
+        got = BitMatrix.from_f2mat(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == big
+    assert peak < big.rows**2 / 4
+
+
+@pytest.mark.parametrize("kind", ["str", "bytes"])
+def test_from_f2mat_error_peak_memory_order_4096(kind):
+    # a bad byte in the last row is named without a decoded copy or a line
+    # list: the ends of the lines are found in place
+    m = g2_power(6).adj
+    data = bytearray(m.to_f2mat())
+    data[-3] = ord("2")
+    text = data.decode("ascii") if kind == "str" else bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(F2MatFormatError, match="^row 4096 is not 4096 characters of 0/1$"):
+            BitMatrix.from_f2mat(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the encoded copy of a str and the packed rows the read had begun
+    assert peak < (1.3 if kind == "str" else 0.25) * m.rows**2
+
+
+# ---------------------------------------------------------------------------
+# oracle: the line-splitting f2mat parser that the fixed-width read replaced
+# ---------------------------------------------------------------------------
+
+_ORACLE_PARSE_CHARS = 1 << 20
+
+
+def _parse_lines(body: list[str], rows: int, cols: int) -> np.ndarray:
+    """The packed rows of the f2mat lines after the header, or the
+    F2MatFormatError that names what is wrong with them."""
+    if len(body) < rows:
+        raise F2MatFormatError(f"expected {rows} rows, found {len(body)}")
+    trailing = body[rows:]
+    if any(t != "" for t in trailing):
+        raise F2MatFormatError("trailing content after matrix rows")
+    # rows before the first one of the wrong length form a text image
+    # of width cols; its first byte other than '0'/'1' names an earlier
+    # bad row ("replace" keeps one byte per character)
+    lengths = np.fromiter(map(len, body[:rows]), dtype=np.int64, count=rows)
+    k = int(np.append(lengths != cols, True).argmax())
+    step = max(_ORACLE_PARSE_CHARS // max(cols, 1), 1)
+    # with k = 0 no row has width cols, which may exceed any dimension
+    packed = np.empty((k, (cols + 7) // 8 if k else 0), dtype=np.uint8)
+    for lo in range(0, k if cols else 0, step):
+        hi = min(lo + step, k)
+        chars = np.frombuffer("".join(body[lo:hi]).encode("ascii", "replace"), dtype=np.uint8)
+        chars = chars.reshape(hi - lo, cols)
+        if chars.min() < ord("0") or chars.max() > ord("1"):
+            k = lo + int(((chars | 1) != ord("1")).any(axis=1).argmax())
+            break
+        packed[lo:hi] = np.packbits(chars & 1, axis=1, bitorder="little")
+    if k < rows:
+        raise F2MatFormatError(f"row {k + 1} is not {cols} characters of 0/1")
+    return packed
+
+
+def _oracle_from_f2mat(text: str) -> BitMatrix:
+    """The matrix of f2mat text, header first, then its lines."""
+    header = text.split("\n", 1)[0]
+    if not header.startswith("f2mat"):
+        raise F2MatFormatError("missing 'f2mat' header")
+    fields = header.split(" ")
+    if len(fields) != 3 or fields[0] != "f2mat":
+        raise F2MatFormatError(f"bad header line: {header!r}")
+    try:
+        rows, cols = int(fields[1]), int(fields[2])
+    except ValueError as exc:
+        raise F2MatFormatError(f"bad header line: {header!r}") from exc
+    if rows < 0 or cols < 0:
+        raise F2MatFormatError("negative dimensions in header")
+    packed = _parse_lines(text.split("\n")[1:], rows, cols)
+    return BitMatrix._wrap(packed, cols)
+
+
+def _outcome(parse, text):
+    """The parsed matrix's shape and bytes, or the error message."""
+    try:
+        m = parse(text)
+    except F2MatFormatError as exc:
+        return str(exc)
+    return m.rows, m.cols, m.packed.tobytes()
+
+
+_MUTATION_CHARS = "01\n\r x2\u00e9"
+
+
+@st.composite
+def _mutated_f2mat(draw):
+    """Valid f2mat text of 0-5 rows and 0-10 columns, then up to three
+    inserted or deleted characters or truncations, anywhere."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 10))
+    lines = draw(st.lists(st.text("01", min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    text = f"f2mat {rows} {cols}\n" + "".join(line + "\n" for line in lines)
+    for _ in range(draw(st.integers(0, 3))):
+        # counted from the end, where the rows are
+        at = len(text) - draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "truncate"]))
+        if edit == "insert":
+            text = text[:at] + draw(st.sampled_from(_MUTATION_CHARS)) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at]
+    return text
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(_mutated_f2mat())
+def test_f2mat_reader_matches_line_oracle(text):
+    # a str and its ASCII-replaced bytes each give exactly the oracle's
+    # matrix or exactly its message (the bytes quote '?' for a non-ASCII
+    # character, as the oracle does on their decoded text)
+    assert _outcome(BitMatrix.from_f2mat, text) == _outcome(_oracle_from_f2mat, text)
+    data = text.encode("ascii", "replace")
+    expected = _outcome(_oracle_from_f2mat, data.decode("ascii"))
+    assert _outcome(BitMatrix.from_f2mat, data) == _outcome(BitMatrix.from_f2mat, bytearray(data)) == expected

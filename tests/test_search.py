@@ -402,6 +402,21 @@ def test_sweep_failure_in_caller_stops_children(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_sweep_stops_soon_after_a_child_dies(monkeypatch):
+    # the caller reads the children's pipes between its blocks, so a child
+    # that exits at once is noticed long before the caller has ranked the
+    # blocks it would have taken
+    counters = []
+    claimed = search._claimed
+    monkeypatch.setattr(search, "_claimed", lambda counter, stop: counters.append(counter) or claimed(counter, stop))
+    monkeypatch.setattr(search, "_sweep_child", lambda *args: os._exit(3))
+    with pytest.raises(search.SweepWorkerError, match="exited with code 3"):
+        run_exhaustive_sweep(start=0, stop=N3_SPAN, workers=2)
+    [counter] = counters  # the caller's: the child never claims
+    assert counter.value < (N3_SPAN >> search._FREE) // 2
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("n", range(11))
 def test_alternating_rank_histogram_matches_closed_form(n):
     assert alternating_rank_histogram(n) == alternating_rank_counts(n)

@@ -11,7 +11,7 @@ import pytest
 from f2rank import verify
 from f2rank.gf2 import BitMatrix, rank
 from f2rank.graph import Graph
-from f2rank.constructions import complete_graph, g2, g2_power
+from f2rank.constructions import complete_graph, g2, g2_power, linegraph_clique_plus_isolated
 from f2rank.products import sign_map
 from f2rank.spectral import is_hadamard
 from f2rank.verify import (
@@ -559,6 +559,28 @@ def test_full_report_validates_its_graph_once(monkeypatch):
         assert coset_decompose(g).perm == want_perm
     with pytest.raises(AssertionError, match="validated again"):
         coset_decompose(g2_power(2).adj)
+
+
+def test_full_report_tests_the_subspace_once(monkeypatch):
+    # the decomposition reuses full_report's subspace_basis result, None
+    # (rows not a subspace) included
+    calls = []
+    basis = verify.subspace_basis
+    monkeypatch.setattr(verify, "subspace_basis", lambda m: calls.append(m.rows) or basis(m))
+    graphs = [
+        linegraph_clique_plus_isolated(8),
+        random_graph(random.Random(46), 64).add_isolated_vertex(),
+        Graph.from_edges(0, []),
+        Graph.from_edges(1, []),
+        _relabel(g2_power(3), random.Random(47)),
+    ]
+    for g in graphs:
+        calls.clear()
+        report = full_report(g).report
+        assert calls == [g.order]
+        if not report["rows_form_subspace"].passed:
+            pre = report["decomposition.preconditions"]
+            assert pre.details == "rows do not form a subspace without repetition"
 
 
 def test_full_report_skips_large_spectrum(monkeypatch):
