@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
-from .gf2 import BitMatrix, standard_form_blocks
+from .codes import g2_power_codes, odd_family_codes, standard_form
+from .gf2 import BitMatrix
 from .graph import Graph, line_graph
 
 
@@ -23,24 +22,6 @@ def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, list(combinations(range(n), 2)))
 
 
-# code bits (2t, 2t + 1) of base-4 digit t: 0 -> 01, 1 -> 10, 2 -> 11, 3 -> 00
-_G2_CODES = np.array([2, 1, 3, 0])
-
-
-def _g2_power_codes(m: int) -> np.ndarray:
-    """The code of every vertex of g2_power(m), one base-4 digit per bit pair."""
-    v = np.arange(4**m)
-    codes = np.zeros_like(v)
-    for t in range(m):
-        codes |= _G2_CODES[(v >> 2 * t) & 3] << 2 * t
-    return codes
-
-
-def _standard_form_graph(codes: np.ndarray, width: int) -> Graph:
-    (packed,) = standard_form_blocks(codes, width, codes.size)
-    return Graph(BitMatrix.from_packed(packed, codes.size))
-
-
 def g2_power(m: int) -> Graph:
     """Left-associated parity-product power of g2: order 4^m, rank 2m.
 
@@ -53,7 +34,7 @@ def g2_power(m: int) -> Graph:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _standard_form_graph(_g2_power_codes(m), 2 * m)
+    return Graph(standard_form(g2_power_codes(m)))
 
 
 def linegraph_clique_plus_isolated(k: int) -> Graph:
@@ -75,6 +56,4 @@ def extremal_odd_plus_one(n: int) -> Graph:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    k = (n - 1) // 2
-    codes = _g2_power_codes(k)
-    return _standard_form_graph(np.concatenate([codes | 1 << 2 * k, codes | 2 << 2 * k]), n + 1)
+    return Graph(standard_form(odd_family_codes(n)))

@@ -11,7 +11,8 @@ beyond the declared length are always zero.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+import re
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -356,12 +357,10 @@ class BitMatrix:
         header = text[:end] if isinstance(text, str) else data[:end].decode("ascii", "replace")
         if not header.startswith("f2mat"):
             raise F2MatFormatError("missing 'f2mat' header")
-        fields = header.split(" ")
-        if len(fields) != 3 or fields[0] != "f2mat":
-            raise F2MatFormatError(f"bad header line: {header!r}")
+        match = re.fullmatch("f2mat (-?[0-9]+) (-?[0-9]+)", header)
         try:
-            rows, cols = int(fields[1]), int(fields[2])
-        except ValueError as exc:
+            rows, cols = int(match[1]), int(match[2])
+        except (TypeError, ValueError) as exc:  # no match, or more digits than int reads
             raise F2MatFormatError(f"bad header line: {header!r}") from exc
         if rows < 0 or cols < 0:
             raise F2MatFormatError("negative dimensions in header")
@@ -594,108 +593,3 @@ def row_space_contains(m: BitMatrix, v: BitVector) -> bool:
     if v.n != m.cols:
         raise ValueError(f"vector length {v.n} does not match {m.cols} columns")
     return _reduce(echelon(m.row_ints())[0], v.bits) == 0
-
-
-def subspace_basis(m: BitMatrix) -> list[int] | None:
-    """Row indices of the first-appearance basis if the rows list a linear
-    subspace exactly once each, else None."""
-    # distinct rows in a span of 2^rank vectors list all of it, zero
-    # included; testing for the zero row first skips most eliminations
-    # and every conversion to integers
-    if m.packed.any(axis=1).all():
-        return None
-    rows = m.row_ints()
-    if len(set(rows)) != m.rows:
-        return None
-    basis = echelon(rows)[1]
-    return basis if m.rows == 1 << len(basis) else None
-
-
-def rows_form_subspace(m: BitMatrix) -> bool:
-    """True iff the rows list a linear subspace exactly once each."""
-    return subspace_basis(m) is not None
-
-
-def _xor_rows(row_ints: Sequence[int], x: int) -> int:
-    """XOR of the rows selected by the set bits of x."""
-    acc = 0
-    for i, r in enumerate(row_ints):
-        if (x >> i) & 1:
-            acc ^= r
-    return acc
-
-
-def symplectic_coordinates(m: BitMatrix, basis: list[int] | None = None) -> np.ndarray | None:
-    """One packed code per row of a symmetric zero-diagonal m: the row's
-    coordinates in a symplectic basis, or None when subspace_basis(m) is None.
-    A caller that already holds subspace_basis(m) passes it as basis.
-
-    With P the first-appearance basis and k_i the coordinates of row i in
-    it, entry (i, j) is k_i^T M k_j where M = m[P, P], a nondegenerate
-    alternating form, and y_i = row i restricted to the columns P is
-    k_i^T M.  Symplectic Gram-Schmidt on M in a fixed order (the lowest
-    remaining vector u, the first remaining v with M(u, v) = 1, the rest
-    made orthogonal to both) gives pairs (u_a, v_a).  Code bit 2a is
-    y_i . v_a and bit 2a+1 is y_i . u_a, k_i's coordinates on u_a and v_a,
-    so entry (i, j) is the standard form sum_a c_i[2a] c_j[2a+1] +
-    c_i[2a+1] c_j[2a] of the codes, and the codes are a bijection onto
-    range(2^n).  Costs O(N n) after subspace_basis, plus O(n^3).
-    """
-    if m.rows != m.cols:
-        raise ValueError("symplectic coordinates need a square matrix")
-    if basis is None:
-        basis = subspace_basis(m)
-    if basis is None:
-        return None
-    n = len(basis)
-    p = np.asarray(basis, dtype=np.intp)
-    y = ((m.packed[:, p >> 3] >> (p & 7)) & 1).astype(np.int64)
-    form = y[p]
-    if not np.array_equal(form, form.T) or form.diagonal().any():
-        raise ValueError("basis block is not an alternating form")
-    # vectors of GF(2)^n are n-bit integers; M(x, z) is the parity of x & Mz
-    form_rows = (form << np.arange(n)).sum(axis=1).tolist()
-    remaining = [1 << i for i in range(n)]
-    pairs = []  # v_0, u_0, v_1, u_1, ...
-    while remaining:
-        u = remaining.pop(0)
-        mu = _xor_rows(form_rows, u)
-        k = next((k for k, w in enumerate(remaining) if (w & mu).bit_count() & 1), None)
-        if k is None:
-            raise ValueError("basis block is a degenerate form")
-        v = remaining.pop(k)
-        mv = _xor_rows(form_rows, v)
-        # w + M(w, v) u + M(w, u) v is orthogonal to both u and v
-        remaining = [
-            w ^ (u if (w & mv).bit_count() & 1 else 0) ^ (v if (w & mu).bit_count() & 1 else 0)
-            for w in remaining
-        ]
-        pairs += [v, u]
-    columns = (np.array(pairs, dtype=np.int64) >> np.arange(n)[:, None]) & 1
-    return (y @ columns & 1) @ (1 << np.arange(n, dtype=np.int64))
-
-
-def standard_form_blocks(codes: np.ndarray, width: int, block_rows: int) -> Iterator[np.ndarray]:
-    """The packed rows of the standard alternating form on codes, block_rows
-    rows at a time.
-
-    codes holds one width-bit integer per vertex; entry (i, j) is
-    parity(c_i & J c_j), with J swapping code bits 2t and 2t + 1.  Row i
-    is then the XOR, over the set bits b of c_i, of the packed row holding
-    bit b ^ 1 of every code, read from one table of those XORs per byte of
-    code bits.
-    """
-    bits = (codes >> (np.arange(width) ^ 1)[:, None]) & 1
-    flipped = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-    tables = []
-    for lo in range(0, width, 8):
-        table = np.zeros((1, flipped.shape[1]), dtype=np.uint8)
-        for col in flipped[lo : lo + 8]:
-            table = np.concatenate([table, table ^ col])
-        tables.append(table)
-    for lo in range(0, len(codes), block_rows):
-        block = codes[lo : lo + block_rows]
-        rows = np.zeros((block.size, flipped.shape[1]), dtype=np.uint8)
-        for t, table in enumerate(tables):
-            rows ^= table[(block >> 8 * t) & 255]
-        yield rows

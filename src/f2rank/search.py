@@ -28,7 +28,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf2 import BitMatrix, rank_of_row_ints, symplectic_coordinates
+from .codes import subspace_codes
+from .gf2 import BitMatrix, rank_of_row_ints
 from .graph import Graph
 from .constructions import g2
 
@@ -742,23 +743,22 @@ def isomorphic(g: Graph, h: Graph) -> tuple[bool, list[int] | None]:
     """Exact isomorphism test; on success also returns the vertex bijection.
 
     When the rows of both graphs list a subspace (the extremal family),
-    vertices are mapped by their symplectic coordinates, so the witness is
-    the unique bijection that preserves the codes; otherwise the answer
-    comes from _backtrack_isomorphism.  Every witness is checked exactly.
+    the witness is the unique bijection that preserves their codes
+    (codes.subspace_codes); otherwise _backtrack_isomorphism answers.
+    Every witness is checked exactly.
     """
     n = g.order
     if n != h.order or g.edge_count() != h.edge_count():
         return False, None
     if n == 0:
         return True, []
-    code_g = symplectic_coordinates(g.adj)
-    code_h = symplectic_coordinates(h.adj)
-    if code_g is not None and code_h is not None:
+    found_g, found_h = subspace_codes(g.adj), subspace_codes(h.adj)
+    if found_g is not None and found_h is not None:
         # both adjacencies are the standard form on their codes
         inv_h = np.full(n, -1, dtype=np.intp)
-        inv_h[code_h] = np.arange(n)
-        mapping = inv_h[code_g].tolist()
-    elif code_g is not None or code_h is not None:
+        inv_h[found_h[1]] = np.arange(n)
+        mapping = inv_h[found_g[1]].tolist()
+    elif found_g is not None or found_h is not None:
         # relabelling permutes the rows and, by one linear bijection, the
         # columns, so whether the rows list a subspace is an invariant
         return False, None

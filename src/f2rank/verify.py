@@ -3,8 +3,8 @@
 Every checker is a pure function; failures are data (report entries),
 never exceptions, so complete reports can be emitted for bad inputs.
 full_report reads the pairwise, regularity and Hadamard claims off the
-standard form of the symplectic coordinates once it has certified that
-form exactly; other inputs go through one Gram matrix G = A A^T.  The
+standard form on its codes (codes.subspace_codes) once it has certified
+that form exactly; other inputs go through one Gram matrix G = A A^T.  The
 coset decomposition certifies the block structure of symmetric
 zero-diagonal subspace matrices:
 
@@ -24,21 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2 import (
-    BitMatrix,
-    BitVector,
-    rank_of_row_ints,
-    row_space_contains,
-    standard_form_blocks,
-    subspace_basis,
-    symplectic_coordinates,
-)
+from .codes import is_standard_form, subspace_codes
+from .gf2 import BitMatrix, BitVector, rank_of_row_ints, row_space_contains
 from .graph import Graph, first_offence, is_negation_free, is_twin_free
 from .spectral import Spectrum, analytic_spectrum, graph_spectrum
 
 # orders above this get no spectrum payload from full_report
 SPECTRUM_CAP = 256
-# the basis argument of a caller that has not run subspace_basis
+# the codes argument of a caller that has not run subspace_codes
 _UNTESTED = object()
 
 
@@ -197,25 +190,17 @@ def _scan(k: _Gram, core: np.ndarray) -> _Scan:
 
 
 def _standard_form(a: BitMatrix, codes: np.ndarray) -> tuple[_Gram, _Scan] | None:
-    """The degrees and the _Scan of a, read off its codes, if the codes list
-    range(order) once each and a is the standard form on them
-    (gf2.standard_form_blocks); else None.
-
-    The rows of that form are built BLOCK_ROWS at a time and compared with
-    the packed rows of a, so no order x order array is built.  The form is
-    nondegenerate: code 0 is isolated, every other vertex has degree N/2,
-    and two distinct nonzero codes give independent functionals, so every
-    pair of core vertices has co-degree N/4.  Then N - 2 d_i - 2 d_j +
-    4 G_ij, the identity _scan tests, is 0 for all i != j: S is Hadamard.
+    """The degrees and the _Scan of a, read off its codes, if
+    codes.is_standard_form certifies a as the standard form on them; else
+    None.  The form is nondegenerate: code 0 is isolated, every other
+    vertex has degree N/2, and two distinct nonzero codes give independent
+    functionals, so every pair of core vertices has co-degree N/4.  Then
+    N - 2 d_i - 2 d_j + 4 G_ij, the identity _scan tests, is 0 for all
+    i != j: S is Hadamard.
     """
-    order = a.rows
-    n = order.bit_length() - 1
-    if n % 2 or not np.array_equal(np.sort(codes), np.arange(order)):
+    if not is_standard_form(a, codes, BLOCK_ROWS):
         return None
-    rows = a.packed
-    for lo, want in zip(range(0, order, BLOCK_ROWS), standard_form_blocks(codes, n, BLOCK_ROWS)):
-        if not np.array_equal(want, rows[lo : lo + BLOCK_ROWS]):
-            return None
+    order = a.rows
     core = order - 1
     hist = np.zeros((2, order + 1), dtype=np.int64)
     hist[1, order // 4] = core * (order // 2)
@@ -414,33 +399,31 @@ def _block_identity(m: np.ndarray, v: np.ndarray) -> bool:
     )
 
 
-def _coset_order(a: BitMatrix | Graph, basis: object = _UNTESTED) -> tuple[np.ndarray, np.ndarray]:
+def _coset_order(a: BitMatrix | Graph, codes: object = _UNTESTED) -> tuple[np.ndarray, np.ndarray]:
     """The coset permutation of a subspace matrix and the matrix conjugated
     by it, as a dense 0/1 array whose level-1 block identity holds.  A
-    caller that ran subspace_basis(a) passes its result, None included.
+    caller that ran subspace_codes(a) passes its result, None included.
 
-    With P the first-appearance basis and k_i the coordinates of row i in
-    it, row i on the columns P is y_i = M k_i with M = a[P, P] invertible.
-    So the packed y_i list range(2^n), and the row with coordinates k is
-    the one whose y is the XOR of the y_p selected by k's binary digits:
-    one argsort of y inverts them.
+    The codes c_i of the rows list range(2^n) and are a linear bijection of
+    the rows, so the row with coordinates k in the basis P is the one whose
+    code is the XOR of the c_p selected by k's binary digits: one argsort
+    of the codes inverts them.
     """
     if isinstance(a, Graph):
         a = a.adj
     elif not _is_symmetric_zero_diag(a):
         raise NotSubspaceMatrixError("matrix is not symmetric with zero diagonal")
-    basis = subspace_basis(a) if basis is _UNTESTED else basis
-    if basis is None:
+    found = subspace_codes(a) if codes is _UNTESTED else codes
+    if found is None:
         raise NotSubspaceMatrixError("rows do not form a subspace without repetition")
+    basis, codes = found
     if not basis:
         raise NotSubspaceMatrixError("decomposition needs rank >= 1")
     rows = a.packed
-    p = np.asarray(basis, dtype=np.intp)
-    y = ((rows[:, p >> 3] >> (p & 7)) & 1).astype(np.int64) @ (1 << np.arange(p.size))
     span = np.zeros(1, dtype=np.int64)
-    for i in p:
-        span = np.concatenate([span, span ^ y[i]])
-    perm = np.argsort(y)[span]
+    for c in codes[basis]:
+        span = np.concatenate([span, span ^ c])
+    perm = np.argsort(codes)[span]
     # a is symmetric, so the transpose of a[perm] is a[:, perm], and its rows
     # in order perm are a[perm][:, perm]: both gathers run on packed bytes
     gathered = BitMatrix.from_packed(rows[perm], a.cols).transpose().packed[perm]
@@ -484,18 +467,18 @@ def _vector(v: np.ndarray) -> BitVector:
     return BitMatrix.from_bool_array(v[None]).row(0)
 
 
-def decomposition_invariants(a: BitMatrix | Graph, *, basis: object = _UNTESTED) -> VerificationReport:
+def decomposition_invariants(a: BitMatrix | Graph, *, codes: object = _UNTESTED) -> VerificationReport:
     """Run both decomposition levels and check every block-structure claim.
 
     Index conventions: u is the first half of reordered row 2^(n-1) (its
     second half is checked equal); x, y are the first and second halves
     of u; w is the first quarter of reordered row 2^(n-2), and (s, t) are
     that row's third and fourth quarters.  A caller that ran
-    subspace_basis(a) passes its result, None included, as basis.
+    subspace_codes(a) passes its result, None included, as codes.
     """
     report = VerificationReport()
     try:
-        _, r = _coset_order(a, basis)
+        _, r = _coset_order(a, codes)
     except (NotSubspaceMatrixError, ValueError) as exc:
         report.add("preconditions", False, str(exc))
         return report
@@ -587,9 +570,8 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
 
     If expect_n is omitted it is inferred from the order when that is a
     power of two.  The spectrum payload (and the analytic comparison) is
-    computed only for orders up to SPECTRUM_CAP.  One subspace_basis feeds
-    the rank, the subspace check, the symplectic coordinates and the
-    decomposition.
+    computed only for orders up to SPECTRUM_CAP.  One subspace_codes feeds
+    the rank, the subspace check, the standard form and the decomposition.
     The pairwise, regularity and Hadamard checks read the
     standard form when _standard_form certifies it, else one _scan of G.
     """
@@ -605,15 +587,14 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
         report.add("order", False, f"order {order} is not a power of two")
     report.add("twin_free", is_twin_free(g), "all neighbourhood rows distinct")
     report.add("negation_free", is_negation_free(g), "no row is the complement of another")
-    basis = subspace_basis(g.adj)
-    r = g.rank() if basis is None else len(basis)
+    found = subspace_codes(g.adj)
+    r = g.rank() if found is None else len(found[0])
     if n is not None:
         report.add("rank", r == n, f"rank {r}, expected {n}")
     else:
         report.add("rank", False, f"rank {r}, no expected value (order not a power of two)")
-    report.add("rows_form_subspace", basis is not None, "")
-    codes = None if basis is None else symplectic_coordinates(g.adj, basis)
-    form = None if codes is None else _standard_form(g.adj, codes)
+    report.add("rows_form_subspace", found is not None, "")
+    form = None if found is None else _standard_form(g.adj, found[1])
     k = _gram(g) if form is None else form[0]
     # the core drops the isolated vertices, which changes no co-degree
     core = np.flatnonzero(k.degrees)
@@ -707,6 +688,6 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
             f"{swapped_trace:g} and is rejected",
         )
 
-    decomp = decomposition_invariants(g, basis=basis)
+    decomp = decomposition_invariants(g, codes=found)
     report.extend(decomp, prefix="decomposition.")
     return FullVerification(report=report, rank=r, srg=srg, spectrum=spectrum)

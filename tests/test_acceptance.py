@@ -9,7 +9,8 @@ import random
 import time
 
 from f2rank.cli import main as cli_main
-from f2rank.gf2 import rank, rows_form_subspace
+from f2rank.codes import subspace_codes
+from f2rank.gf2 import rank
 from f2rank.graph import is_negation_free, is_twin_free, line_graph
 from f2rank.constructions import (
     complete_graph,
@@ -200,7 +201,7 @@ def test_criterion_13_decomposition_invariants():
     ok = True
     for m in range(2, 6):
         g = g2_power(m)
-        ok = ok and rows_form_subspace(g.adj)
+        ok = ok and subspace_codes(g.adj) is not None
         report = decomposition_invariants(g.adj)
         ok = ok and report.passed
     _report(13, ok, "u=uhat, rank(B)=n-2, u outside rowsp(B), s=t, relations and dichotomy for m=2..5", t0, 60)

@@ -6,7 +6,7 @@ import pytest
 
 from f2rank import products
 
-from f2rank.gf2 import rows_form_subspace
+from f2rank.codes import subspace_codes
 from f2rank.graph import Graph, is_negation_free, is_twin_free, line_graph
 from f2rank.products import parity_product_graph
 from f2rank.constructions import (
@@ -51,7 +51,7 @@ def test_g2_power_properties():
         assert g.rank() == 2 * m
         assert is_twin_free(g) and is_negation_free(g)
         assert g.isolated_vertices() == [4**m - 1]
-        assert rows_form_subspace(g.adj)
+        assert subspace_codes(g.adj) is not None
     with pytest.raises(ValueError):
         g2_power(0)
 

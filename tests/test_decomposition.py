@@ -16,9 +16,9 @@ from f2rank.constructions import complete_graph, g2_power
 from f2rank.gf2 import (
     BitMatrix,
     BitVector,
+    echelon,
     rank_of_row_ints,
     row_space_contains,
-    subspace_basis,
 )
 from f2rank.graph import Graph
 from f2rank.verify import (
@@ -47,13 +47,13 @@ def _oracle_coset_decompose(a: BitMatrix | Graph) -> CosetDecomposition:
             Graph(a)
         except ValueError:
             raise NotSubspaceMatrixError("matrix is not symmetric with zero diagonal") from None
-    basis_idx = subspace_basis(a)
-    if basis_idx is None:
+    rows = a.row_ints()
+    basis_idx = echelon(rows)[1]
+    if len(set(rows)) != a.rows or a.rows != 1 << len(basis_idx):
         raise NotSubspaceMatrixError("rows do not form a subspace without repetition")
     n_dim = len(basis_idx)
     if n_dim < 1:
         raise NotSubspaceMatrixError("decomposition needs rank >= 1")
-    rows = a.row_ints()
     span = [0]
     for i in basis_idx:
         span += [s ^ rows[i] for s in span]
@@ -232,17 +232,19 @@ def _flip(g: Graph, i: int, j: int) -> Graph:
 
 
 def _both_paths(monkeypatch, g: Graph, codes=None):
-    """full_report of g as given, with codes in place of the symplectic
-    coordinates when given, then forced onto the Gram path; returns both
-    results and the number of Gram matrices the first one built."""
+    """full_report of g as given, with codes in place of the extracted ones
+    in the standard-form check when given, then forced onto the Gram path;
+    returns both results and the number of Gram matrices the first one
+    built."""
     grams = []
     gram = verify._gram
     monkeypatch.setattr(verify, "_gram", lambda g: grams.append(g.order) or gram(g))
     if codes is not None:
-        monkeypatch.setattr(verify, "symplectic_coordinates", lambda m, basis=None: codes)
+        check = verify.is_standard_form
+        monkeypatch.setattr(verify, "is_standard_form", lambda a, _, rows: check(a, codes, rows))
     first = full_report(g)
     built = len(grams)
-    monkeypatch.setattr(verify, "symplectic_coordinates", lambda m, basis=None: None)
+    monkeypatch.setattr(verify, "is_standard_form", lambda *args: False)
     second = full_report(g)
     monkeypatch.undo()
     assert len(grams) == built + 1
@@ -276,7 +278,7 @@ def test_flipped_edge_takes_gram_path(monkeypatch, m):
 
 def test_swapped_codes_fail_the_certificate(monkeypatch):
     g = relabel(g2_power(3), random.Random(56))
-    codes = verify.symplectic_coordinates(g.adj)
+    _, codes = verify.subspace_codes(g.adj)
     i, j = np.flatnonzero(codes)[:2]
     codes[[i, j]] = codes[[j, i]]
     assert verify._standard_form(g.adj, codes) is None

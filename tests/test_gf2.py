@@ -19,19 +19,11 @@ from f2rank.gf2 import (
     rank,
     rank_of_row_ints,
     row_space_contains,
-    rows_form_subspace,
-    symplectic_coordinates,
 )
-from f2rank.constructions import (
-    complete_graph,
-    extremal_odd_plus_one,
-    g2,
-    g2_power,
-    linegraph_clique_plus_isolated,
-)
-from f2rank.graph import Graph, line_graph
+from f2rank.constructions import complete_graph, g2, g2_power
+from f2rank.graph import line_graph
 
-from conftest import random_bitmatrix, random_graph, relabel, xor_combinations
+from conftest import random_bitmatrix, xor_combinations
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +430,7 @@ def test_rank_of_packed_rows_leaves_them_unchanged():
 
 
 # ---------------------------------------------------------------------------
-# row_space_contains / rows_form_subspace
+# row_space_contains
 # ---------------------------------------------------------------------------
 
 
@@ -495,103 +487,6 @@ def test_row_space_contains_combinations_large():
         assert not row_space_contains(m, BitVector(n, outside))
 
 
-def test_rows_form_subspace():
-    assert rows_form_subspace(BitMatrix.from_strings(["00", "10", "01", "11"]))
-    assert not rows_form_subspace(BitMatrix.from_strings(["00", "10", "01"]))
-    assert not rows_form_subspace(BitMatrix.from_strings(["10", "01", "11", "10"]))
-    assert not rows_form_subspace(BitMatrix.from_strings(["10", "01", "11", "00"]).submatrix([0, 1, 2, 2], [0, 1]))
-    a = g2_power(2).adj
-    assert rows_form_subspace(a)
-    # independent oracle: pairwise XOR closure plus distinctness
-    rows = a.row_ints()
-    row_set = set(rows)
-    assert len(row_set) == len(rows) and 0 in row_set
-    assert all(x ^ y in row_set for x in row_set for y in row_set)
-
-
-def _reference_codes(m: BitMatrix) -> list[int]:
-    """symplectic_coordinates by its definition, with no shortcut: the
-    greedy first-appearance basis, symplectic Gram-Schmidt on the basis
-    block with explicit vectors, and each row's coordinates found by
-    search, first in the row basis and then in the pairs (u_a, v_a)."""
-    rows = m.row_ints()
-    basis: list[int] = []
-    for i, r in enumerate(rows):
-        if r not in xor_combinations([rows[b] for b in basis]):
-            basis.append(i)
-    n = len(basis)
-    form = [[(rows[p] >> q) & 1 for q in basis] for p in basis]
-
-    def pair(x, z):
-        return sum(x[a] * form[a][b] * z[b] for a in range(n) for b in range(n)) % 2
-
-    remaining = [[int(a == b) for b in range(n)] for a in range(n)]
-    symplectic = []  # u_0, v_0, u_1, v_1, ...
-    while remaining:
-        u = remaining.pop(0)
-        v = remaining.pop(next(k for k, w in enumerate(remaining) if pair(u, w)))
-        remaining = [
-            [(w[t] + pair(w, v) * u[t] + pair(w, u) * v[t]) % 2 for t in range(n)]
-            for w in remaining
-        ]
-        symplectic += [u, v]
-
-    def combine(vectors, mask):
-        return [sum((mask >> k) & 1 and vec[t] for k, vec in enumerate(vectors)) % 2 for t in range(n)]
-
-    codes = []
-    for r in rows:
-        k = next(k for k in range(1 << n) if _combine([rows[b] for b in basis], k) == r)
-        coords = [(k >> t) & 1 for t in range(n)]
-        # bit 2a is the coefficient of u_a, bit 2a+1 that of v_a
-        codes.append(next(c for c in range(1 << n) if combine(symplectic, c) == coords))
-    return codes
-
-
-def _family_inputs(rng: random.Random, max_m: int) -> list[Graph]:
-    out = [Graph(BitMatrix.zeros(1, 1)), linegraph_clique_plus_isolated(6)]
-    for m in range(1, max_m + 1):
-        out += [g2_power(m), relabel(g2_power(m), rng), relabel(g2_power(m), rng)]
-    return out
-
-
-def test_symplectic_coordinates_match_definition():
-    rng = random.Random(16)
-    for g in _family_inputs(rng, 3):
-        assert symplectic_coordinates(g.adj).tolist() == _reference_codes(g.adj)
-
-
-def test_symplectic_form_is_standard():
-    # in the symplectic basis every subspace adjacency is the standard form
-    # <c_i, J c_j>, J swapping the bits of each pair, so n is even
-    rng = random.Random(17)
-    for g in _family_inputs(rng, 5):
-        codes = symplectic_coordinates(g.adj)
-        n = g.order.bit_length() - 1
-        assert n % 2 == 0 and sorted(codes.tolist()) == list(range(g.order))
-        bits = (codes[:, None] >> np.arange(n)) & 1
-        u_part, v_part = bits[:, 0::2], bits[:, 1::2]
-        standard = (u_part @ v_part.T + v_part @ u_part.T) & 1
-        assert np.array_equal(standard, g.adj.to_bool_array())
-
-
-def test_symplectic_coordinates_none_off_subspaces():
-    rng = random.Random(18)
-    inputs = [complete_graph(4), extremal_odd_plus_one(3), Graph(BitMatrix.zeros(4, 4))]
-    inputs += [random_graph(rng, 16) for _ in range(5)]
-    for g in inputs:
-        assert not rows_form_subspace(g.adj)
-        assert symplectic_coordinates(g.adj) is None
-    assert symplectic_coordinates(BitMatrix(0, 0)) is None
-    with pytest.raises(ValueError):
-        symplectic_coordinates(BitMatrix.from_strings(["00", "10", "01", "11"]))
-    # rows that list a subspace but are not symmetric: the basis block is
-    # not alternating, or it is alternating and degenerate
-    for rows in (["00", "01"], ["00", "10"]):
-        with pytest.raises(ValueError):
-            symplectic_coordinates(BitMatrix.from_strings(rows))
-
-
 # ---------------------------------------------------------------------------
 # f2mat text format
 # ---------------------------------------------------------------------------
@@ -641,7 +536,6 @@ F2MAT_MALFORMED = {
     "f2mat 3 2\n00\n1\n0x\n": _ROW_2,
     "f2mat 3 2\n00\n0x\n1\n": _ROW_2,
     "f2mat 3 2\n00\n11\n0\u00e9\n": "row 3 is not 2 characters of 0/1",
-    "f2mat 2 2\r\n00\r\n00\r\n": "row 1 is not 2 characters of 0/1",
     "f2mat 2 2\n00\n00\r\n": _ROW_2,
     "f2mat 1 99999999999999999999\n0\n": "row 1 is not 99999999999999999999 characters of 0/1",
     "f2mat 2 2\n00": "expected 2 rows, found 1",
@@ -650,6 +544,13 @@ F2MAT_MALFORMED = {
     "f2mat 1 0": "expected 1 rows, found 0",
     # the message quotes a str header as given, not as encoded
     "f2mat \u00e9 2\n": "bad header line: 'f2mat \u00e9 2'",
+    # a header field is ASCII -?[0-9]+, and nothing else int would read
+    "f2mat 2 2\r\n00\r\n00\r\n": "bad header line: 'f2mat 2 2\\r'",
+    "f2mat 2 2\r\n00\n00\n": "bad header line: 'f2mat 2 2\\r'",
+    "f2mat +1_0 \t2\n" + "00\n" * 10: "bad header line: 'f2mat +1_0 \\t2'",
+    "f2mat +2 2\n00\n00\n": "bad header line: 'f2mat +2 2'",
+    "f2mat \u0663 2\n00\n00\n00\n": "bad header line: 'f2mat \u0663 2'",
+    "f2mat -1 2\n": "negative dimensions in header",
 }
 
 
@@ -802,7 +703,9 @@ def _oracle_from_f2mat(text: str) -> BitMatrix:
     if not header.startswith("f2mat"):
         raise F2MatFormatError("missing 'f2mat' header")
     fields = header.split(" ")
-    if len(fields) != 3 or fields[0] != "f2mat":
+    # each dimension is one optional "-" and then ASCII digits only
+    digits = [f.removeprefix("-") for f in fields[1:]]
+    if len(fields) != 3 or fields[0] != "f2mat" or not all(d and set(d) <= set("0123456789") for d in digits):
         raise F2MatFormatError(f"bad header line: {header!r}")
     try:
         rows, cols = int(fields[1]), int(fields[2])

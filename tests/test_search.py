@@ -9,7 +9,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from f2rank.gf2 import rank_of_row_ints, symplectic_coordinates
+from f2rank.codes import subspace_codes
+from f2rank.gf2 import rank_of_row_ints
 from f2rank.graph import Graph
 from f2rank.constructions import g2, g2_power, linegraph_clique_plus_isolated
 from f2rank import search
@@ -572,19 +573,24 @@ def _carries(g: Graph, h: Graph, witness) -> bool:
 
 
 def test_isomorphic_family_relabelings(monkeypatch):
-    # family pairs take the symplectic route, never the refinement
+    # family pairs take the symplectic route, never the refinement, and
+    # extract the codes of each graph once
     def refuse(g, h):
         raise AssertionError("family inputs must not reach color refinement")
 
+    calls = []
     monkeypatch.setattr(search, "_refine_colors", refuse)
+    monkeypatch.setattr(search, "subspace_codes", lambda m: calls.append(m) or subspace_codes(m))
     rng = random.Random(45)
     members = [g2_power(m) for m in range(1, 6)] + [linegraph_clique_plus_isolated(6)]
     for g in members:
         for _ in range(2):
             h = relabel(g, rng)
             for a, b in ((g, h), (h, g), (h, relabel(g, rng))):
+                calls.clear()
                 ok, witness = isomorphic(a, b)
                 assert ok and _carries(a, b, witness)
+                assert len(calls) == 2 and calls[0] is a.adj and calls[1] is b.adj
 
 
 def test_isomorphic_identity_on_family_members():
@@ -613,7 +619,7 @@ def test_isomorphic_subspace_against_non_subspace():
         drop, add = rng.choice(edges), rng.choice(non_edges)
         others.append(Graph.from_edges(16, [e for e in edges if e != drop] + [add]))
         for other in others:
-            assert symplectic_coordinates(other.adj) is None
+            assert subspace_codes(other.adj) is None
             assert other.edge_count() == g.edge_count()
             for a, b in ((g, other), (other, g)):
                 assert isomorphic(a, b) == (False, None)
@@ -623,16 +629,15 @@ def test_isomorphic_subspace_against_non_subspace():
 def test_isomorphic_checks_every_witness(monkeypatch):
     g = g2_power(2)
     h = relabel(g, random.Random(48))
-    real = symplectic_coordinates
 
     def shifted(m):  # a bijection onto the codes that is not the form's
-        codes = real(m)
-        return codes if m is g.adj else (codes + 1) % len(codes)
+        basis, codes = subspace_codes(m)
+        return basis, codes if m is g.adj else (codes + 1) % len(codes)
 
-    monkeypatch.setattr(search, "symplectic_coordinates", shifted)
+    monkeypatch.setattr(search, "subspace_codes", shifted)
     with pytest.raises(AssertionError):
         isomorphic(g, h)
-    monkeypatch.setattr(search, "symplectic_coordinates", lambda m: None)
+    monkeypatch.setattr(search, "subspace_codes", lambda m: None)
     # a non-automorphism, and a map that preserves adjacency but is no bijection
     for graph, wrong in ((g, [1, 0] + list(range(2, 16))), (Graph.empty(3), [0, 0, 0])):
         monkeypatch.setattr(search, "_backtrack_isomorphism", lambda a, b, w=wrong: (True, w))

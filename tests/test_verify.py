@@ -562,11 +562,11 @@ def test_full_report_validates_its_graph_once(monkeypatch):
 
 
 def test_full_report_tests_the_subspace_once(monkeypatch):
-    # the decomposition reuses full_report's subspace_basis result, None
+    # the decomposition reuses full_report's subspace_codes result, None
     # (rows not a subspace) included
     calls = []
-    basis = verify.subspace_basis
-    monkeypatch.setattr(verify, "subspace_basis", lambda m: calls.append(m.rows) or basis(m))
+    codes = verify.subspace_codes
+    monkeypatch.setattr(verify, "subspace_codes", lambda m: calls.append(m.rows) or codes(m))
     graphs = [
         linegraph_clique_plus_isolated(8),
         random_graph(random.Random(46), 64).add_isolated_vertex(),
