@@ -137,28 +137,34 @@ def test_is_standard_form_rejects():
             assert not is_standard_form(flipped, codes, 5)
 
 
-def test_subspace_codes_none_off_subspaces():
-    rng = random.Random(18)
-    inputs = [complete_graph(4).adj, BitMatrix.zeros(4, 4), BitMatrix(0, 0)]
-    inputs += [random_graph(rng, 16).adj for _ in range(5)]
+def test_subspace_codes_rows_form_subspace():
+    # codes exist only where the rows list a whole subspace once each: a
+    # dropped code leaves part of the span out, a duplicated one repeats a row
+    rng = random.Random(19)
     for codes in _bijections():
         k = rng.randrange(codes.size)
         dropped = np.delete(codes, k)
         duplicated = codes.copy()
         duplicated[k] = codes[k - 1]
-        inputs += [standard_form(dropped), standard_form(duplicated)]
-        assert not is_standard_form(standard_form(dropped), dropped, 5)
-        assert not is_standard_form(standard_form(duplicated), duplicated, 5)
+        for c in (dropped, duplicated):
+            assert subspace_codes(standard_form(c)) is None
+            assert not is_standard_form(standard_form(c), c, 5)
+    # independent oracle on a member: distinct rows closed under XOR
+    rows = g2_power(2).adj.row_ints()
+    assert subspace_codes(g2_power(2).adj) is not None
+    assert len(set(rows)) == len(rows) and all(x ^ y in rows for x in rows for y in rows)
+
+
+def test_subspace_codes_none_off_subspaces():
+    rng = random.Random(18)
+    inputs = [complete_graph(4).adj, BitMatrix.zeros(4, 4), BitMatrix(0, 0)]
+    inputs += [random_graph(rng, 16).adj for _ in range(5)]
     for n in (3, 5, 7):
         codes = odd_family_codes(n)
         inputs.append(standard_form(codes))
         assert not is_standard_form(standard_form(codes), codes, 5)
     for a in inputs:
         assert subspace_codes(a) is None
-    # independent oracle on a member: distinct rows closed under XOR
-    rows = g2_power(2).adj.row_ints()
-    assert subspace_codes(g2_power(2).adj) is not None
-    assert len(set(rows)) == len(rows) and all(x ^ y in rows for x in rows for y in rows)
     with pytest.raises(ValueError):
         subspace_codes(BitMatrix.from_strings(["00", "10", "01", "11"]))
     # rows that list a subspace but are not symmetric: the basis block is
