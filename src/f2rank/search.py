@@ -28,9 +28,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .codes import subspace_codes
+from .codes import _xor_rows, subspace_codes
 from .gf2 import BitMatrix, rank_of_row_ints
-from .graph import Graph
+from .graph import Graph, to_graph6
 from .constructions import g2
 
 N3_ORDER = 8
@@ -81,8 +81,6 @@ def enumerate_n2() -> list[Graph]:
 def n2_certificate() -> dict:
     """Certificate that every twin-free rank-2 order-4 graph is the triangle
     plus an isolated vertex."""
-    from .graph import to_graph6
-
     target = g2()
     found = enumerate_n2()
     violations = []
@@ -103,61 +101,26 @@ def n2_certificate() -> dict:
 # Order-8 structured case analysis
 # ---------------------------------------------------------------------------
 
-# Entry (i, j) of the fully determined candidate matrix, encoded as a mask
-# over the three free bits (bit0, bit1, bit2) = (x, y, z) = (A01, A02, A12).
-# Rows 4..7 are forced: row3 = row0^row1, row4 = row0^row2, row5 = row1^row2,
-# row6 = row0^row1^row2, row7 = 0; symmetry then pins every entry.
-_N3_COEFFS = (
-    (0, 1, 2, 1, 2, 3, 3, 0),
-    (1, 0, 4, 1, 5, 4, 5, 0),
-    (2, 4, 0, 6, 2, 4, 6, 0),
-    (1, 1, 6, 0, 7, 7, 6, 0),
-    (2, 5, 2, 7, 0, 7, 5, 0),
-    (3, 4, 4, 7, 7, 0, 3, 0),
-    (3, 5, 6, 6, 5, 3, 0, 0),
-    (0, 0, 0, 0, 0, 0, 0, 0),
-)
+# A twin-free order-8 graph of rank 3 would list its whole 3-dimensional
+# row space, so with rows 0..2 as the basis, vertex i has coordinates
+# _N3_CODES[i] (row 3 = row0 ^ row1, ..., row 7 = 0) and A = K^T M K, where
+# M = A[:3, :3] is an alternating 3x3 form.  Such a form is degenerate, so
+# at most 4 rows are distinct.
+_N3_CODES = (1, 2, 4, 3, 5, 6, 7, 0)
 
 
 def _structured_matrix(x: int, y: int, z: int) -> list[int]:
-    assignment = x | (y << 1) | (z << 2)
-    rows = []
-    for coeff_row in _N3_COEFFS:
-        bits = 0
-        for j, mask in enumerate(coeff_row):
-            if (mask & assignment).bit_count() & 1:
-                bits |= 1 << j
-        rows.append(bits)
-    return rows
+    """The forced candidate with (A01, A02, A12) = (x, y, z): entry (i, j)
+    is parity(k_i & M k_j)."""
+    form = [x << 1 | y << 2, x | z << 2, y | z << 1]
+    m_codes = [_xor_rows(form, k) for k in _N3_CODES]
+    return [
+        sum(((k & mk).bit_count() & 1) << j for j, mk in enumerate(m_codes)) for k in _N3_CODES
+    ]
 
 
 def n3_structured_certificate() -> dict:
     """All eight fillings of the forced order-8 candidate have duplicate rows."""
-    for coeffs in _N3_COEFFS:
-        if len(coeffs) != 8:
-            raise AssertionError("coefficient table is malformed")
-    # structural sanity on the coefficient masks themselves; together with
-    # the coset relations below and the three marked free cells this forces
-    # the whole table, so any transcription slip trips an assertion
-    for i in range(8):
-        for j in range(8):
-            if _N3_COEFFS[i][j] != _N3_COEFFS[j][i]:
-                raise AssertionError("coefficient matrix not symmetric")
-        if _N3_COEFFS[i][i] != 0:
-            raise AssertionError("coefficient matrix has nonzero diagonal")
-    if (_N3_COEFFS[0][1], _N3_COEFFS[0][2], _N3_COEFFS[1][2]) != (1, 2, 4):
-        raise AssertionError("free cells are not the three marked entries")
-    combos = {3: (0, 1), 4: (0, 2), 5: (1, 2)}
-    for row, parts in combos.items():
-        for j in range(8):
-            want = _N3_COEFFS[parts[0]][j] ^ _N3_COEFFS[parts[1]][j]
-            if _N3_COEFFS[row][j] != want:
-                raise AssertionError("coset relation broken in coefficient matrix")
-    for j in range(8):
-        want = _N3_COEFFS[0][j] ^ _N3_COEFFS[1][j] ^ _N3_COEFFS[2][j]
-        if _N3_COEFFS[6][j] != want:
-            raise AssertionError("coset relation broken in coefficient matrix")
-
     violations = []
     for assignment in range(8):
         x, y, z = assignment & 1, (assignment >> 1) & 1, (assignment >> 2) & 1
@@ -226,14 +189,16 @@ def _counter_half_tables() -> tuple[np.ndarray, np.ndarray]:
     """
     global _half_tables
     if _half_tables is None:
-        half = 1 << 14
-        lo = np.zeros(half, dtype=np.uint64)
-        hi = np.zeros(half, dtype=np.uint64)
-        for p, (i, j) in enumerate(N3_PAIRS):
-            contrib = np.uint64((1 << (8 * i + j)) | (1 << (8 * j + i)))
-            table, bit = (lo, p) if p < 14 else (hi, p - 14)
-            idx = np.nonzero(np.arange(half) & (1 << bit))[0]
-            table[idx] ^= contrib
+        # doubling: appending table ^ contrib for pair p sets entry p in
+        # exactly the indices whose bit p is set
+        tables = []
+        for pairs in (N3_PAIRS[:14], N3_PAIRS[14:]):
+            table = np.zeros(1, dtype=np.uint64)
+            for i, j in pairs:
+                contrib = np.uint64((1 << (8 * i + j)) | (1 << (8 * j + i)))
+                table = np.concatenate([table, table ^ contrib])
+            tables.append(table)
+        lo, hi = tables
         if not (_alternating(lo) and _alternating(hi)):
             raise AssertionError("counter tables hold a non-alternating matrix")
         _half_tables = (lo, hi)

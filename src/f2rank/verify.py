@@ -40,7 +40,6 @@ class CheckResult:
     name: str
     passed: bool
     details: str = ""
-    data: dict | None = None
 
     def to_json(self) -> dict:
         return {"name": self.name, "pass": self.passed, "details": self.details}
@@ -54,14 +53,12 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, passed: bool, details: str = "", data: dict | None = None):
-        self.checks.append(CheckResult(name, bool(passed), details, data))
+    def add(self, name: str, passed: bool, details: str = ""):
+        self.checks.append(CheckResult(name, bool(passed), details))
 
     def extend(self, other: VerificationReport, prefix: str = ""):
         for c in other.checks:
-            self.checks.append(
-                CheckResult(prefix + c.name, c.passed, c.details, c.data)
-            )
+            self.checks.append(CheckResult(prefix + c.name, c.passed, c.details))
 
     def __getitem__(self, name: str) -> CheckResult:
         for c in self.checks:

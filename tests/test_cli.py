@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -326,22 +327,19 @@ def test_spectrum_refuses_oversized(tmp_path, capsys):
 
 
 def test_search_modes(capsys):
-    code, out, _ = run(capsys, "search", "--mode", "n2-unique")
-    assert code == 0
-    cert = json.loads(out)
-    assert cert["mode"] == "n2-unique" and cert["pass"] is True
-    assert list(cert.keys()) == [
-        "mode",
-        "candidates_examined",
-        "violations",
-        "stats",
-        "pass",
-        "elapsed_ms",
-    ]
-
-    code, out, _ = run(capsys, "search", "--mode", "n3-structured")
-    assert code == 0
-    assert json.loads(out)["candidates_examined"] == 8
+    # the exact stdout of both certificates, but for the elapsed_ms timing
+    pinned = {
+        "n2-unique": '{\n  "mode": "n2-unique",\n  "candidates_examined": 64,\n'
+        '  "violations": [],\n  "stats": {\n    "solutions_found": 4\n  },\n'
+        '  "pass": true,\n  "elapsed_ms": 0\n}\n',
+        "n3-structured": '{\n  "mode": "n3-structured",\n  "candidates_examined": 8,\n'
+        '  "violations": [],\n  "stats": {\n    "assignments_with_duplicate_rows": 8\n  },\n'
+        '  "pass": true,\n  "elapsed_ms": 0\n}\n',
+    }
+    for mode, want in pinned.items():
+        code, out, _ = run(capsys, "search", "--mode", mode)
+        assert code == 0
+        assert re.sub(r'"elapsed_ms": \d+\n', '"elapsed_ms": 0\n', out) == want
 
     code, out, _ = run(capsys, "search", "--mode", "n3-exhaustive", "--stop", str(1 << 16))
     assert code == 0

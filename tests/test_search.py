@@ -69,9 +69,8 @@ def test_n2_certificate():
 def test_structured_coefficients_derived_independently():
     # rebuild the coefficient table from first principles: the top-left 3x3
     # block is pinned by the zero diagonal, the three free cells and
-    # symmetry; every other entry follows from the forced row combinations
-    from f2rank.search import _N3_COEFFS
-
+    # symmetry; every other entry follows from the forced row combinations.
+    # Entry (i, j) is a mask over (bit0, bit1, bit2) = (x, y, z) = (A01, A02, A12)
     base = [[0, 1, 2], [1, 0, 4], [2, 4, 0]]
     combos = {3: (0, 1), 4: (0, 2), 5: (1, 2), 6: (0, 1, 2), 7: ()}
     table = [[0] * 8 for _ in range(8)]
@@ -90,7 +89,13 @@ def test_structured_coefficients_derived_independently():
             for a in combos[j]:
                 acc ^= table[a][col]
             table[j][col] = acc
-    assert tuple(tuple(row) for row in table) == _N3_COEFFS
+    for assignment in range(8):
+        x, y, z = assignment & 1, (assignment >> 1) & 1, (assignment >> 2) & 1
+        want = [
+            sum(((mask & assignment).bit_count() & 1) << j for j, mask in enumerate(row))
+            for row in table
+        ]
+        assert _structured_matrix(x, y, z) == want
 
 
 def test_structured_matrix_consistency():
@@ -158,6 +163,20 @@ def test_sweep_lane_and_word_edges_match_reference(start, stop):
     got = sweep_range(start, stop)
     assert got == sweep_range_reference(start, stop)
     assert got.candidates_examined == stop - start
+
+
+def test_counter_half_tables_match_definition():
+    # lo[a] is the packed 8x8 matrix of counter a < 2^14, hi[b] that of b << 14
+    from f2rank.search import _counter_half_tables
+
+    def packed(counter):
+        rows = _rows_from_counter(counter, 8, N3_PAIRS)
+        return sum(row << 8 * i for i, row in enumerate(rows))
+
+    lo, hi = _counter_half_tables()
+    assert lo.dtype == hi.dtype == np.uint64
+    assert lo.tolist() == [packed(a) for a in range(1 << 14)]
+    assert hi.tolist() == [packed(b << 14) for b in range(1 << 14)]
 
 
 @pytest.mark.parametrize("size", [1, 63, 64, 65])
