@@ -166,15 +166,20 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_search(args) -> int:
-    workers = args.workers if args.workers else _default_workers()
+    sweep_flags = {"--start": args.start, "--stop": args.stop, "--workers": args.workers}
+    given = [flag for flag, value in sweep_flags.items() if value is not None]
+    if args.mode != "n3-exhaustive" and given:
+        raise ValueError(f"--mode {args.mode} takes no {', '.join(given)}")
     t0 = time.perf_counter()
     if args.mode == "n2-unique":
         cert = n2_certificate()
     elif args.mode == "n3-structured":
         cert = n3_structured_certificate()
     else:
+        workers = args.workers if args.workers else _default_workers()
+        start = args.start if args.start is not None else 0
         stop = args.stop if args.stop is not None else N3_SPAN
-        cert = n3_exhaustive_certificate(workers=workers, start=args.start, stop=stop)
+        cert = n3_exhaustive_certificate(workers=workers, start=start, stop=stop)
     cert["elapsed_ms"] = int(round((time.perf_counter() - t0) * 1000))
     sys.stdout.write(json.dumps(cert, indent=2) + "\n")
     return 0 if cert["pass"] else 1
@@ -235,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", required=True, choices=["n2-unique", "n3-structured", "n3-exhaustive"]
     )
-    p.add_argument("--workers", type=_worker_count, default=0)
-    p.add_argument("--start", type=int, default=0)
+    # the sweep's range and worker count; n3-exhaustive only
+    p.add_argument("--workers", type=_worker_count, default=None)
+    p.add_argument("--start", type=int, default=None)
     p.add_argument("--stop", type=int, default=None)
     p.set_defaults(func=cmd_search)
 

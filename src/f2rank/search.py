@@ -12,17 +12,23 @@ the entries that touch vertices 0..2; bits 18..27, the 5x5 block C on
 vertices 3..7, are constant over each block of 2^12 words.  A pair pivot
 (k, q) with a_kq = 1 clears two rows and columns of an alternating matrix
 and lowers its rank by 2 (Albert, 1938).  On C it is a scalar choice made
-once per block; the residual matrix, of order 4 in 868 of the 1024 blocks,
-goes to the bit-sliced kernel, whose steps are word-wide boolean ops that
-advance 64 eliminations at once, and a 3-bit bit-sliced counter keeps
-rank/2.  The sweep's whole result is its rank histogram, and the scalar
-reference path is the test oracle.  Every sweeping process, the caller and
-its children, claims blocks one at a time from a shared counter, and the
-histograms add, so the outcome is independent of worker count.
+once per block, which leaves each column between vertices 0..2 and C a
+fixed XOR of planes.  The residual [[0, Y], [Y^T, B]], Y holding the
+columns of the C vertices no pivot took, has rank 2 rank(Y) plus the rank
+of B on ker Y, and the kernel reads it off a few lane masks with
+word-wide boolean ops, 64 candidates at once: no elimination step runs on
+the planes.  In 868 of the 1024 blocks Y is one row, and the masks are
+whether the order-4 residual is nonzero and its Pfaffian, so the block is
+counted with two popcounts.  The sweep's whole result is its rank
+histogram, and the scalar reference path is the test oracle.  Every
+sweeping process, the caller and its children, claims blocks one at a time
+from a shared counter, and the histograms add, so the outcome is
+independent of worker count.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -205,177 +211,184 @@ def _counter_half_tables() -> tuple[np.ndarray, np.ndarray]:
     return _half_tables
 
 
+# _VERTICES[form] = the C vertices 3 + m for each bit m set in a 5-bit form
+_VERTICES = [[3 + m for m in range(5) if form >> m & 1] for form in range(32)]
+# (bit of C, a, b) of each entry (3 + a, 3 + b) of C, bit p being counter bit _FREE + p
+_C_ENTRIES = [(p, i - 3, j - 3) for p, (i, j) in enumerate(N3_PAIRS[_FREE:])]
+
+
+def _pivot_forms(c: int) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """Pair pivots on the 5x5 block C = c, scalar work once per block.
+
+    Returns (pairs, forms, kept): the s pivots (k, q) as vertex pairs; for
+    each C vertex v = 3..7 the 5-bit form (bit m for vertex 3 + m) whose
+    plane columns XOR to column v of X as the Schur rule leaves it, when v
+    is pivoted or, for a vertex in no pivot, after every pivot; and the C
+    vertices in no pivot.  A pivot (k, q) with C[k][q] = 1 maps each live
+    column l to l ^ C[q][l] k ^ C[k][l] q and updates C among the live
+    vertices the same way.  One pass over k suffices: a live vertex skipped
+    for having no live link keeps none, since a later pivot only changes
+    rows linked to it.  So the live part of C ends zero, and rank(C) = 2s.
+    """
+    rows = [0] * 5  # rows[a] = row 3 + a of C as a 5-bit mask
+    for p, a, b in _C_ENTRIES:
+        if c >> p & 1:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    forms = [1 << m for m in range(5)]
+    live = 0b11111
+    pairs = []
+    for k in range(5):
+        links = rows[k] & live
+        if not live >> k & 1 or not links:
+            continue
+        q = (links & -links).bit_length() - 1
+        pairs.append((3 + k, 3 + q))
+        live ^= 1 << k | 1 << q
+        rk, rq = rows[k], rows[q]
+        for l in range(k + 1, 5):
+            if live >> l & 1:
+                if rq >> l & 1:
+                    forms[l] ^= forms[k]
+                    rows[l] ^= rk
+                if rk >> l & 1:
+                    forms[l] ^= forms[q]
+                    rows[l] ^= rq
+    return pairs, forms, _VERTICES[live]
+
+
 class _BitSliced:
-    """The bit-sliced rank kernel for candidates that share one block C.
+    """The bit-sliced rank kernel for `words` words of candidates that share
+    one block C.
 
     planes[p] holds entry p, that is counter bit p < _FREE, of the 64 lanes
-    of each of up to `words` words: every entry that touches vertices 0..2.
-    The 5x5 block C on vertices 3..7, counter bits _FREE..27, is one integer
-    per call.  The planes are only read: an updated entry (i, j) goes to its
-    own scratch row _own[_PLANE[i][j]].  One instance serves every block
-    that one sweeping process ranks.
+    of each word: every entry that touches vertices 0..2.  The 5x5 block C
+    on vertices 3..7, counter bits _FREE..27, is one integer per call.  The
+    planes are only read: an updated entry (i, j) goes to its own scratch
+    row _own[_PLANE[i][j]], and every other result to a row of _work.
+    Every row is a whole-width view made once, so a call slices nothing,
+    and one instance serves every block that one sweeping process ranks.
     """
 
     def __init__(self, words: int):
         self.planes = np.empty((_FREE, words), dtype=np.uint64)
-        self._own = np.empty((len(N3_PAIRS), words), dtype=np.uint64)
-        self._row = np.empty((N3_ORDER, words), dtype=np.uint64)
-        self._seen = np.empty((2, words), dtype=np.uint64)
-        self._pick = np.empty(words, dtype=np.uint64)
-        self._tmp = np.empty((2, words), dtype=np.uint64)
-        self._half = np.empty((3, words), dtype=np.uint64)
+        self._own = list(np.empty((_FREE, words), dtype=np.uint64))
+        # the most _residual_levels takes: 15 + k rows, k = 5 when C = 0
+        self._work = list(np.empty((20, words), dtype=np.uint64))
+        # rows 0..2 of the entry table: the plane of each entry (i, j)
+        self._table: list[list] = [[None] * N3_ORDER for _ in range(3)]
+        for (i, j), plane in zip(N3_PAIRS, self.planes):
+            self._table[i][j] = plane
+            if j < 3:
+                self._table[j][i] = plane
 
-    def entries(self, c: int, lo: int, hi: int) -> list[list]:
-        """The 8x8 entry table of words lo:hi: views of planes, the bits of
-        c (0 or 1) on C, None on the diagonal."""
-        e: list[list] = [[None] * N3_ORDER for _ in range(N3_ORDER)]
-        planes = list(self.planes[:, lo:hi])
-        for p, (i, j) in enumerate(N3_PAIRS):
-            e[i][j] = e[j][i] = planes[p] if p < _FREE else c >> (p - _FREE) & 1
-        return e
+    def __call__(self, c: int) -> tuple[int, list[np.ndarray]]:
+        """(s, levels) for the planes under C = c: rank(C) = 2s, and
+        levels[t] marks the lanes whose rank/2 - s exceeds t, so a lane's
+        rank is 2s plus twice the number of levels that hold it.  The levels
+        are views of the kernel's rows, valid until its next call.
 
-    def _count(self, half: np.ndarray, nonzero: np.ndarray) -> None:
-        """Add 1 to the 3-bit counter half in the lanes set in nonzero; it
-        borrows the pick row and a tmp row, which no step holds across it."""
-        carry, tmp = self._pick[: nonzero.size], self._tmp[0, : nonzero.size]
-        np.bitwise_and(half[0], nonzero, out=carry)
-        np.bitwise_xor(half[0], nonzero, out=half[0])
-        np.bitwise_and(half[1], carry, out=tmp)
-        np.bitwise_xor(half[1], carry, out=half[1])
-        np.bitwise_xor(half[2], tmp, out=half[2])
-
-    def __call__(self, c: int, lo: int, hi: int) -> tuple[int, np.ndarray]:
-        """(s, half) for words lo:hi of the planes under C = c: rank(C) = 2s,
-        and half holds rank/2 - s of every lane as three bit planes.
-
-        C is constant, so each pair pivot (k, q) in it, with C[k][q] = 1, is
-        a scalar choice.  The Schur rule E[i][l] ^= E[i][k] & E[q][l] ^
-        E[i][q] & E[k][l] then keeps the rest alternating and lowers the rank
-        by 2.  Inside C it is integer arithmetic; on an entry between
-        vertices 0..2 and C one factor of each term is a constant, so it is
-        a plane XOR or nothing; among vertices 0..2 it is word ANDs.  After s
-        pivots the live part of C is zero, and the residual matrix, of order
-        8 - 2s, goes to rank_half.
+        The pair pivots on C are scalar choices (_pivot_forms), after which
+        column v of X, the entries between vertices 0..2 and C vertex v, is
+        the XOR of the plane columns in forms[v]: word XORs, or the plane
+        itself.  Each pivot (k, q) adds X_ik & X_lq ^ X_iq & X_lk to entry
+        (i, l) of the block B among vertices 0..2: word ANDs.  The residual
+        matrix, of order 8 - 2s, is [[0, Y], [Y^T, B]], where Y holds the
+        columns of X of the C vertices kept; _residual_levels ranks it.
         """
-        w = hi - lo
-        e = self.entries(c, lo, hi)
-        live = list(range(N3_ORDER))
-        s = 0
-        while pair := next((kq for kq in combinations(live[3:], 2) if e[kq[0]][kq[1]]), None):
-            k, q = pair
-            live.remove(k)
-            live.remove(q)
-            s += 1
-            for i, l in combinations(live, 2):
-                if i >= 3:  # inside C: constants
-                    e[i][l] = e[l][i] = e[i][l] ^ e[i][k] & e[q][l] ^ e[i][q] & e[k][l]
-                    continue
-                terms = []
-                for x, y in ((e[i][k], e[q][l]), (e[i][q], e[k][l])):
-                    if l < 3:
-                        terms.append(np.bitwise_and(x, y, out=self._tmp[len(terms), :w]))
-                    elif y:
-                        terms.append(x)
-                if terms:
-                    dst = self._own[_PLANE[i][l], :w]
-                    np.bitwise_xor(e[i][l], terms[0], out=dst)
-                    for t in terms[1:]:
-                        np.bitwise_xor(dst, t, out=dst)
-                    e[i][l] = e[l][i] = dst
-        # the loop stops when every live entry inside C is the int 0, so the
-        # residual, with C's vertices first, is [[0, X], [X^T, B]], and
-        # rank_half leaves out the ops on its zero block
-        return s, self.rank_half(e, live[3:] + live[:3])
+        pairs, forms, kept = _pivot_forms(c)
+        x = [row[:] for row in self._table]
+        for v, form in zip(range(3, N3_ORDER), forms):
+            if form & form - 1:  # more than its own plane column
+                for i in range(3):
+                    planes = self._table[i]
+                    first, second, *rest = [planes[u] for u in _VERTICES[form]]
+                    dst = self._own[_PLANE[i][v]]
+                    np.bitwise_xor(first, second, out=dst)
+                    for p in rest:
+                        np.bitwise_xor(dst, p, out=dst)
+                    x[i][v] = dst
+        tmp = self._work[0]
+        b = []  # b[m] = the entry of B between the two vertices other than m
+        for i, l in ((1, 2), (0, 2), (0, 1)):
+            xi, xl, dst = x[i], x[l], self._own[_PLANE[i][l]]
+            base = xi[l]
+            for k, q in pairs:
+                for u, w in ((xi[k], xl[q]), (xi[q], xl[k])):
+                    np.bitwise_and(u, w, out=tmp)
+                    np.bitwise_xor(base, tmp, out=dst)
+                    base = dst
+            b.append(base)
+        return len(pairs), self._residual_levels([[x[i][v] for v in kept] for i in range(3)], b)
 
-    def _and_xor(self, base, terms, out: np.ndarray):
-        """base ^ x0 & y0 ^ x1 & y1 ^ ... into out, where an int operand is
-        a known zero: every term with an int factor is left out, and an int
-        base adds nothing.  Returns base itself when no term is left, else
-        out; out may be base, and it borrows tmp row 0."""
-        terms = [(x, y) for x, y in terms if not isinstance(x, int) and not isinstance(y, int)]
-        if not terms:
-            return base
-        tmp = self._tmp[0, : out.size]
-        (x, y), *rest = terms
-        if isinstance(base, int):
-            np.bitwise_and(x, y, out=out)
-        else:
-            np.bitwise_and(x, y, out=tmp)
-            np.bitwise_xor(base, tmp, out=out)
-        for x, y in rest:
-            np.bitwise_and(x, y, out=tmp)
-            np.bitwise_xor(out, tmp, out=out)
-        return out
+    def _residual_levels(self, y: list[list[np.ndarray]], b: list[np.ndarray]) -> list[np.ndarray]:
+        """The levels of rank/2 of the alternating matrices [[0, Y], [Y^T, B]]:
+        y[i] is column i of the k x 3 block Y (k = 1, 3 or 5 rows), and b =
+        (B12, B02, B01) the 3x3 block B.
 
-    def rank_half(self, e: list[list], live: list[int]) -> np.ndarray:
-        """rank/2 of the alternating matrices e[live][:, live], of order
-        n = len(live) >= 4, as three bit planes (bit b of rank/2 in row b).
-
-        Every entry of e among live is a word array of one length, or the
-        int 0 for an entry known to be zero in every lane; bit l of an entry
-        is that entry of lane l.  Entries are read, never written: an update
-        replaces e[i][l] by a scratch row.  Step k takes row k (r) and its
-        lowest set bit q: pick_j marks the lanes with q = j (r_j set, every
-        earlier r_j' clear), the running OR of r (seen) marks those with r
-        nonzero, and row q is R = OR_j pick_j & row j.  a_kq = 1 pivots the
-        pair (k, q): E[i][l] ^= R_i & r_l ^ r_i & R_l over i < l beyond k
-        keeps the matrix alternating, zeroes row q and lowers the rank by 2
-        (row and column k are never read again); a zero r makes R zero.
-        Every op with a known-zero operand is left out, so an entry between
-        two vertices whose r entries are known zeros stays one: on
-        [[0, X], [X^T, B]] with the zero block first, it stays zero while
-        the steps run over that block.  Steps run on all but the last four
-        vertices a, b, c, d, which then hold a 4x4 alternating matrix: its
-        rank is 4 when its Pfaffian ab.cd + ac.bd + ad.bc is 1, and 2 when
-        it is 0 but some entry is 1, so two counts replace the last step.
+        Congruence brings Y to [[I_r, 0], [0, 0]], r = rank(Y); pivoting on
+        I_r leaves B on the coordinates of ker Y untouched, so the rank is
+        2r plus the rank of B on ker Y, which is 0 or 2.  For r = 1 the
+        nonzero rows of Y all equal the normal w of the plane ker Y, and
+        xBz = b . (x cross z), so B is nonzero there iff beta, the OR of b .
+        Y_a over the rows Y_a, is 1.  So rank/2 exceeds 0 where Y or B is
+        nonzero, 1 where r >= 2 or beta, and 2 where r = 3; r >= 2 where
+        two columns and their XOR are nonzero, r = 3 where every XOR of
+        columns is.  With one row, the levels are whether the 4x4 matrix is
+        nonzero and beta, its Pfaffian.
         """
-        w = next(x.size for row in e for x in row if isinstance(x, np.ndarray))
-        rows = self._row[:, :w]
-        seen_rows = list(self._seen[:, :w])
-        half = self._half[:, :w]
-        half.fill(0)
-        for step, k in enumerate(live[:-4]):
-            rest = live[step + 1 :]
-            r = e[k]
-            seen, row_q = 0, {}  # row_q[l] = R_l, for each l whose R_l is not a known zero
-            for j in rest:
-                if isinstance(r[j], int):
-                    continue  # pick_j is zero
-                if isinstance(seen, int):
-                    seen = pick = r[j]
-                else:
-                    prev = seen
-                    seen = seen_rows[prev is seen_rows[0]]
-                    np.bitwise_or(prev, r[j], out=seen)
-                    pick = self._pick[:w]
-                    np.bitwise_xor(seen, prev, out=pick)
-                for l in rest:
-                    if l == j or isinstance(e[j][l], int):
-                        continue
-                    if l in row_q:
-                        np.bitwise_and(pick, e[j][l], out=self._tmp[0, :w])
-                        np.bitwise_or(rows[l], self._tmp[0, :w], out=rows[l])
-                    else:
-                        row_q[l] = np.bitwise_and(pick, e[j][l], out=rows[l])
-            for i, l in combinations(rest, 2):
-                terms = ((row_q.get(i, 0), r[l]), (r[i], row_q.get(l, 0)))
-                e[i][l] = e[l][i] = self._and_xor(e[i][l], terms, self._own[_PLANE[i][l], :w])
-            if not isinstance(seen, int):
-                self._count(half, seen)
-        a, b, c, d = live[-4:]
-        pf = self._and_xor(
-            0, ((e[a][b], e[c][d]), (e[a][c], e[b][d]), (e[a][d], e[b][c])), self._tmp[1, :w]
-        )
-        nonzero = [x for x in (e[a][b], e[a][c], e[a][d], e[b][c], e[b][d], e[c][d])
-                   if not isinstance(x, int)]
-        if nonzero:
-            seen = nonzero[0]
-            for x in nonzero[1:]:
-                seen = np.bitwise_or(seen, x, out=seen_rows[0])
-            self._count(half, seen)
-        if not isinstance(pf, int):
-            self._count(half, pf)
-        return half
+        tmp, *free = self._work
+        rows = iter(free)
+
+        def nonzero(vector):
+            """The lanes where a vector of rows is nonzero."""
+            if len(vector) == 1:
+                return vector[0]
+            out = next(rows)
+            np.bitwise_or(vector[0], vector[1], out=out)
+            for row in vector[2:]:
+                np.bitwise_or(out, row, out=out)
+            return out
+
+        def differ(u, v):
+            """The lanes where two vectors of rows differ."""
+            out = next(rows)
+            np.bitwise_xor(u[0], v[0], out=out)
+            for p, q in zip(u[1:], v[1:]):
+                np.bitwise_xor(p, q, out=tmp)
+                np.bitwise_or(out, tmp, out=out)
+            return out
+
+        beta = acc = next(rows)
+        for y0, y1, y2 in zip(*y):
+            np.bitwise_and(b[0], y0, out=acc)
+            np.bitwise_and(b[1], y1, out=tmp)
+            np.bitwise_xor(acc, tmp, out=acc)
+            np.bitwise_and(b[2], y2, out=tmp)
+            np.bitwise_xor(acc, tmp, out=acc)
+            if acc is beta:
+                acc = next(rows)
+            else:
+                np.bitwise_or(beta, acc, out=beta)
+        columns = [nonzero(column) for column in y]
+        above = nonzero(columns + b)
+        if len(y[0]) == 1:
+            return [above, beta]
+        y01 = [next(rows) for _ in y[0]]
+        for out, p, q in zip(y01, y[0], y[1]):
+            np.bitwise_xor(p, q, out=out)
+        sums = [nonzero(y01), differ(y[0], y[2]), differ(y[1], y[2]), differ(y01, y[2])]
+        two = [next(rows) for _ in range(3)]
+        for out, (i, l), both in zip(two, ((0, 1), (0, 2), (1, 2)), sums):
+            np.bitwise_and(columns[i], columns[l], out=out)
+            np.bitwise_and(out, both, out=out)
+        three = next(rows)
+        np.bitwise_and(two[0], columns[2], out=three)
+        for both in sums[1:]:
+            np.bitwise_and(three, both, out=three)
+        for other in (two[1], two[2], beta):
+            np.bitwise_or(two[0], other, out=two[0])
+        return [above, two[0], three]
 
 
 def _packed_rank(mat: np.ndarray) -> np.ndarray:
@@ -383,9 +396,10 @@ def _packed_rank(mat: np.ndarray) -> np.ndarray:
 
     The matrices are grouped by their block C, each group is transposed
     into the bit planes of its own run of words, padded with zero lanes,
-    and each run is ranked by the sweep's per-block routine.  Exact only on
-    alternating matrices (symmetric, zero diagonal), the sweep's whole
-    domain: pair pivoting returns even ranks only.  mat is not modified.
+    and each run is ranked by the sweep's kernel, one kernel per run
+    width.  Exact only on alternating matrices (symmetric, zero diagonal),
+    the sweep's whole domain: pair pivoting returns even ranks only.  mat
+    is not modified.
     """
     n = mat.size
     bits = np.unpackbits(mat.astype("<u8").view(np.uint8).reshape(n, 8), axis=1, bitorder="little")
@@ -399,17 +413,36 @@ def _packed_rank(mat: np.ndarray) -> np.ndarray:
     lane = np.arange(n) + np.repeat(64 * bounds[:-1] - first, sizes)
     grid = np.zeros((_FREE, 64 * bounds[-1]), dtype=np.uint8)
     grid[:, lane] = entries[order, :_FREE].T
-    kernel = _BitSliced(int(bounds[-1]))
-    kernel.planes[:] = np.packbits(grid, axis=1, bitorder="little").view("<u8")
-    halves = np.empty((3, bounds[-1]), dtype="<u8")
+    planes = np.packbits(grid, axis=1, bitorder="little").view("<u8")
+    # levels[t] of a word: its lanes whose rank/2 - s exceeds t
+    levels = np.zeros((4, bounds[-1]), dtype="<u8")
     pivots = np.empty(bounds[-1], dtype=np.uint8)
+    kernels: dict[int, _BitSliced] = {}
     for c, lo, hi in zip(cs.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-        pivots[lo:hi], halves[:, lo:hi] = kernel(c, lo, hi)
-    half = np.unpackbits(halves.view(np.uint8), axis=1, bitorder="little")
-    ranks = 2 * (np.repeat(pivots, 64) + half.T @ np.array([1, 2, 4], dtype=np.uint8))
+        kernel = kernels.get(hi - lo)
+        if kernel is None:
+            kernel = kernels[hi - lo] = _BitSliced(hi - lo)
+        kernel.planes[:] = planes[:, lo:hi]
+        pivots[lo:hi], got = kernel(c)
+        for t, level in enumerate(got):
+            levels[t, lo:hi] = level
+    above = np.unpackbits(levels.view(np.uint8), axis=1, bitorder="little").sum(axis=0, dtype=np.uint8)
+    ranks = 2 * (np.repeat(pivots, 64) + above)
     out = np.empty(n, dtype=np.uint8)
     out[order] = ranks[lane]
     return out
+
+
+def _lanes_set(level: np.ndarray, lo: int, hi: int) -> int:
+    """The lanes lo:hi set in level, lane 64w + l being bit l of word w.
+    Lanes outside them are masked out of the first and the last word they
+    meet, and only there."""
+    if (lo, hi) == (0, 64 * level.size):
+        return int(np.bitwise_count(level).sum())
+    first, last = lo >> 6, (hi - 1) >> 6
+    count = int(np.bitwise_count(level[first : last + 1]).sum())
+    count -= (int(level[first]) & ((1 << (lo & 63)) - 1)).bit_count()
+    return count - (int(level[last]) >> ((hi - 1 & 63) + 1)).bit_count()
 
 
 def _sweep_blocks(start: int, stop: int, blocks) -> SweepStats:
@@ -420,32 +453,24 @@ def _sweep_blocks(start: int, stop: int, blocks) -> SweepStats:
     _WORDS, whose counters share bits _FREE..27, so the block index is C,
     and the planes of bits 0.._FREE-1 are the same in every block: lane
     patterns, then runs of zero and all-ones words, filled once, before the
-    first block is taken.  The kernel ranks the block's words that meet
-    the range, and lanes outside [start, stop) in the first and last word
-    are masked out of the histogram.
+    first block is taken.  The kernel ranks every word of a block, and a
+    block the range covers in part counts only its lanes in [start, stop).
     """
-    counts = np.zeros(N3_ORDER + 1, dtype=np.int64)
+    counts = [0] * (N3_ORDER + 1)
     kernel = _BitSliced(_WORDS)
     kernel.planes[:6] = _LANE_PLANES[:, None]
     runs = np.array([[0], [_ONES]], dtype=np.uint64)
     for b in range(_FREE - 6):
         kernel.planes[6 + b].reshape(-1, 2, 1 << b)[:] = runs
-    first, last = start >> 6, (stop - 1) >> 6
     for block in blocks:
-        base = block * _WORDS
-        lo, hi = max(first - base, 0), min(last + 1 - base, _WORDS)
-        s, half = kernel(block, lo, hi)
-        first_lane, stop_lane = 64 * (base + lo), 64 * (base + hi)
-        half[:, 0] &= _ONES << np.uint64(max(start - first_lane, 0))
-        half[:, -1] &= _ONES >> np.uint64(max(stop_lane - stop, 0))
-        # rank/2 is at most 4, so lanes with bit 2 set have bits 0 and 1 clear
-        pop = [int(np.bitwise_count(h).sum()) for h in half]
-        both = int(np.bitwise_count(half[0] & half[1]).sum())
-        got = [pop[0] - both, pop[1] - both, both, pop[2]]
-        lanes = min(stop, stop_lane) - max(start, first_lane)
-        # the residual has order 8 - 2s, so its rank/2 is at most 4 - s
-        counts[2 * s :: 2] += [lanes - sum(got), *got[: 4 - s]]
-    return SweepStats(counts.tolist())
+        s, levels = kernel(block)
+        base = block << _FREE
+        lo, hi = max(start - base, 0), min(stop - base, 1 << _FREE)
+        # above[t] = lanes whose rank exceeds 2(s + t - 1)
+        above = [hi - lo, *(_lanes_set(level, lo, hi) for level in levels), 0]
+        for t in range(len(above) - 1):
+            counts[2 * (s + t)] += above[t] - above[t + 1]
+    return SweepStats(counts)
 
 
 def _block_bounds(start: int, stop: int) -> tuple[int, int]:
@@ -527,13 +552,15 @@ def run_exhaustive_sweep(start: int = 0, stop: int = N3_SPAN, workers: int = 1) 
     processes = min(workers, stop_block - first)
     if processes <= 1:
         return sweep_range(start, stop)
-    # only a parallel sweep pays for the import.  Children come from the
-    # platform's default start method, fork on Linux, so they start without
-    # importing numpy and f2rank again (about 0.2 s a child, against about
-    # 20 ms for a 2^24-counter range on one worker)
+    # only a parallel sweep pays for the import.  On Linux the children are
+    # forked, whatever the default start method (forkserver since Python
+    # 3.14), so they start without importing numpy and f2rank again (about
+    # 0.2 s a child, against about 15 ms for a 2^24-counter range on one
+    # worker); elsewhere they come from the platform's default
     import multiprocessing
 
-    next_block = multiprocessing.Value("q", first)
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    next_block = context.Value("q", first)
     children = []
     parts = []  # each child's result, read as soon as it is sent
 
@@ -545,8 +572,8 @@ def run_exhaustive_sweep(start: int = 0, stop: int = N3_SPAN, workers: int = 1) 
     done = False
     try:
         for _ in range(processes - 1):
-            recv, send = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(
+            recv, send = context.Pipe(duplex=False)
+            child = context.Process(
                 target=_sweep_child, args=(start, stop, next_block, stop_block, send), daemon=True
             )
             child.start()

@@ -273,8 +273,8 @@ def test_random_input_files_exit_cleanly(data, command):
         fd, paths[name] = tempfile.mkstemp(suffix=".in")
         with os.fdopen(fd, "wb") as fh:
             fh.write(content)
-    process = multiprocessing.Process
-    multiprocessing.Process = _no_process
+    start = multiprocessing.process.BaseProcess.start
+    multiprocessing.process.BaseProcess.start = _no_process
     try:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -283,7 +283,7 @@ def test_random_input_files_exit_cleanly(data, command):
             except SystemExit as exc:  # an argparse usage error
                 code = exc.code
     finally:
-        multiprocessing.Process = process
+        multiprocessing.process.BaseProcess.start = start
         for path in paths.values():
             os.unlink(path)
     assert code in (0, 1, 2)
@@ -356,6 +356,24 @@ def test_search_range_errors(capsys):
     ):
         code, out, err = run(capsys, "search", "--mode", "n3-exhaustive", *bounds)
         assert code == 2 and out == "" and err.startswith("error: sweep range")
+
+
+@pytest.mark.parametrize("mode", ["n2-unique", "n3-structured"])
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--start", "7"], "--start"),
+        (["--stop", "64"], "--stop"),
+        (["--workers", "2"], "--workers"),
+        (["--workers", "0"], "--workers"),
+        (["--stop", "9", "--start", "0", "--workers", "1"], "--start, --stop, --workers"),
+    ],
+)
+def test_search_sweep_flags_need_the_exhaustive_mode(capsys, mode, flags, named):
+    # only n3-exhaustive sweeps a range; the other modes refuse its flags
+    code, out, err = run(capsys, "search", "--mode", mode, *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: --mode {mode} takes no {named}\n"
 
 
 def test_search_negative_workers(capsys):

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import random
 import signal
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -217,35 +218,54 @@ def test_sweep_inside_constant_blocks_matches_reference(c_rank):
         assert sweep_range(start, stop) == sweep_range_reference(start, stop)
 
 
-def _lane_half_ranks(half: np.ndarray) -> np.ndarray:
-    bits = np.unpackbits(half.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-    return bits.T @ np.array([1, 2, 4])
+def _lane_levels(levels: list[np.ndarray]) -> np.ndarray:
+    """The number of levels that hold each lane, read before the kernel's
+    next call overwrites them."""
+    bits = [np.unpackbits(x.astype("<u8").view(np.uint8), bitorder="little") for x in levels]
+    return np.sum(bits, axis=0, dtype=np.intp) if bits else 0
 
 
-def test_constant_pivots_match_order8_kernel_for_every_block():
-    # words 1000..1063 of every block: the order-8 kernel on planes that
-    # hold C as constant words against the scalar pivots on C plus the
-    # residual kernel, lane by lane, with a few lanes checked by elimination
+def _eliminated_ranks(packed: np.ndarray) -> np.ndarray:
+    """GF(2) rank of each packed 8x8 matrix (byte i = row i), by Gaussian
+    elimination of all of them at once: column by column, the first row
+    holding the bit is XORed into every row holding it, itself included."""
+    rows = packed.astype("<u8").view(np.uint8).reshape(-1, 8).copy()
+    ranks = np.zeros(len(rows), dtype=np.intp)
+    every = np.arange(len(rows))
+    for bit in range(8):
+        holds = (rows >> bit & 1).astype(bool)
+        ranks += holds.any(axis=1)
+        rows ^= rows[every, holds.argmax(axis=1)][:, None] * holds
+    return ranks
+
+
+def test_constant_pivots_match_elimination_for_every_block():
+    # words 1000..1063 of every block: the scalar pivots on C plus the
+    # residual levels against Gaussian elimination of the same matrices,
+    # lane by lane
+    from f2rank.search import _counter_half_tables
+
+    lo, hi = _counter_half_tables()
     first, words = 1000, 64
     kernel = search._BitSliced(words)
     word_index = np.arange(first, first + words)
     kernel.planes[:6] = search._LANE_PLANES[:, None]
     for b in range(search._FREE - 6):
         kernel.planes[6 + b] = np.where(word_index >> b & 1, search._ONES, np.uint64(0))
-    const = {0: np.zeros(words, dtype=np.uint64), 1: np.full(words, search._ONES)}
+    low = np.arange(64 * first, 64 * (first + words))
     pivots = set()
     for c in range(1 << 10):
-        table = kernel.entries(c, 0, words)
-        planes = [[const[x] if isinstance(x, int) else x for x in row] for row in table]
-        want = _lane_half_ranks(kernel.rank_half(planes, list(range(8))).copy())
-        s, half = kernel(c, 0, words)
-        got = s + _lane_half_ranks(half)
-        assert np.array_equal(got, want), c
-        for lane in (0, 64 * 17 + 45, 64 * words - 1):
-            counter = c << 18 | 64 * first + lane
-            assert 2 * got[lane] == rank_of_row_ints(_rows_from_counter(counter, 8, N3_PAIRS), 8)
+        counters = c << 18 | low
+        want = _eliminated_ranks(lo[counters & 0x3FFF] | hi[counters >> 14])
+        s, levels = kernel(c)
+        assert len(levels) <= 4 - s
+        assert np.array_equal(2 * (s + _lane_levels(levels)), want), c
         pivots.add(s)
     assert pivots == {0, 1, 2}
+    # the oracle itself, on a few lanes of the last block
+    for lane in (0, 64 * 17 + 45, 64 * words - 1):
+        counter = 1023 << 18 | 64 * first + lane
+        assert want[lane] == rank_of_row_ints(_rows_from_counter(counter, 8, N3_PAIRS), 8)
 
 
 def test_packed_rank_across_many_blocks_matches_scalar():
@@ -267,6 +287,52 @@ def test_packed_rank_across_many_blocks_matches_scalar():
     assert ranks.tolist() == [
         rank_of_row_ints(_rows_from_counter(c, 8, N3_PAIRS), 8) for c in counters.tolist()
     ]
+
+
+def test_packed_rank_matches_scalar_for_every_block():
+    # three matrices under every one of the 1024 blocks C, and one C with
+    # a group of more than a word, against elimination
+    from f2rank.search import _counter_half_tables, _packed_rank
+
+    lo, hi = _counter_half_tables()
+    rng = np.random.default_rng(45)
+    counters = np.concatenate([
+        (np.arange(1 << 10)[:, None] << 18 | rng.integers(0, 1 << 18, size=(1 << 10, 3))).ravel(),
+        (777 << 18) + rng.integers(0, 1 << 18, size=130),
+    ])
+    rng.shuffle(counters)
+    packed = lo[counters & 0x3FFF] | hi[counters >> 14]
+    assert np.unique(counters >> 18).size == 1 << 10
+    assert _packed_rank(packed).tolist() == [
+        rank_of_row_ints(_rows_from_counter(c, 8, N3_PAIRS), 8) for c in counters.tolist()
+    ]
+
+
+def _rank_of_block(block: int) -> int:
+    return rank_of_row_ints(_rows_from_counter(block << 18, 8, N3_PAIRS), 8)
+
+
+def test_sweep_across_rank4_blocks_mid_word_matches_reference():
+    # ranges over two and three blocks whose C has rank 4 (the residual of
+    # order 4, counted from two popcounts), starting and stopping inside a
+    # word, so the first and the last word of the range are masked
+    span = 1 << 18
+    edges = [b for b in range(1, 1 << 10) if _rank_of_block(b - 1) == _rank_of_block(b) == 4]
+    assert len(edges) > 600
+    for b in (edges[0], edges[len(edges) // 2], edges[-1]):
+        for start, stop in ((b * span - 1000 + 13, b * span + 777), (b * span - 64 * 7 - 1, b * span + 64 * 9 + 63)):
+            assert start % 64 and stop % 64
+            want = sweep_range_reference(start, stop)
+            assert sweep_range(start, stop) == want
+            assert run_exhaustive_sweep(start=start, stop=stop, workers=2) == want
+    # three blocks: the whole middle one is ranked by the kernel alone, so
+    # only the parts in the outer two go to the reference
+    b = next(b for b in edges if _rank_of_block(b + 1) == 4)
+    start, stop = (b - 1) * span + 64 * 4095 + 5, (b + 1) * span + 70
+    middle = sweep_range(b * span, (b + 1) * span)
+    want = sweep_range_reference(start, b * span).merge(middle).merge(sweep_range_reference((b + 1) * span, stop))
+    assert sweep_range(start, stop) == want
+    assert run_exhaustive_sweep(start=start, stop=stop, workers=3) == want
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -324,15 +390,15 @@ def test_sweep_worker_independence_small():
 
 @pytest.fixture
 def started(monkeypatch):
-    """The sweep processes started while a test runs."""
+    """The sweep processes started while a test runs, from any context."""
     procs = []
+    start = multiprocessing.process.BaseProcess.start
 
-    class Recording(multiprocessing.Process):
-        def start(self):
-            procs.append(self)
-            super().start()
+    def recording(self):
+        procs.append(self)
+        start(self)
 
-    monkeypatch.setattr(multiprocessing, "Process", Recording)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording)
     return procs
 
 
@@ -413,6 +479,22 @@ def test_sweep_worker_failure_is_one_error(monkeypatch, capsys, fail, message):
     assert multiprocessing.active_children() == []
     # the calling process still sweeps on its own
     assert main([*argv, "--workers", "1"]) == 0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sweep children are forked on Linux only")
+def test_sweep_children_are_forked_whatever_the_default_start_method(monkeypatch):
+    # the kernel patch reaches a child only if it is forked from this
+    # process: a spawned child imports search again and sweeps unpatched
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        _failing_kernel(monkeypatch, _raise)
+        start, stop = _MULTI_BLOCK_RANGES[0]
+        with pytest.raises(search.SweepWorkerError, match="MemoryError: kernel planes"):
+            run_exhaustive_sweep(start=start, stop=stop, workers=2)
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_failure_in_caller_stops_children(monkeypatch):
