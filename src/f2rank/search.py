@@ -273,8 +273,8 @@ class _BitSliced:
     def __init__(self, words: int):
         self.planes = np.empty((_FREE, words), dtype=np.uint64)
         self._own = list(np.empty((_FREE, words), dtype=np.uint64))
-        # the most _residual_levels takes: 15 + k rows, k = 5 when C = 0
-        self._work = list(np.empty((20, words), dtype=np.uint64))
+        # the most rows _residual_levels takes, for a Y of 3 or 5 rows
+        self._work = list(np.empty((11, words), dtype=np.uint64))
         # rows 0..2 of the entry table: the plane of each entry (i, j)
         self._table: list[list] = [[None] * N3_ORDER for _ in range(3)]
         for (i, j), plane in zip(N3_PAIRS, self.planes):
@@ -350,13 +350,17 @@ class _BitSliced:
                 np.bitwise_or(out, row, out=out)
             return out
 
-        def differ(u, v):
-            """The lanes where two vectors of rows differ."""
+        def odd(*vectors):
+            """The lanes where the XOR of two or three vectors of rows is
+            nonzero."""
             out = next(rows)
-            np.bitwise_xor(u[0], v[0], out=out)
-            for p, q in zip(u[1:], v[1:]):
-                np.bitwise_xor(p, q, out=tmp)
-                np.bitwise_or(out, tmp, out=out)
+            for a, entries in enumerate(zip(*vectors)):
+                dst = out if a == 0 else tmp
+                np.bitwise_xor(entries[0], entries[1], out=dst)
+                for entry in entries[2:]:
+                    np.bitwise_xor(dst, entry, out=dst)
+                if a:
+                    np.bitwise_or(out, tmp, out=out)
             return out
 
         beta = acc = next(rows)
@@ -374,20 +378,17 @@ class _BitSliced:
         above = nonzero(columns + b)
         if len(y[0]) == 1:
             return [above, beta]
-        y01 = [next(rows) for _ in y[0]]
-        for out, p, q in zip(y01, y[0], y[1]):
-            np.bitwise_xor(p, q, out=out)
-        sums = [nonzero(y01), differ(y[0], y[2]), differ(y[1], y[2]), differ(y01, y[2])]
-        two = [next(rows) for _ in range(3)]
-        for out, (i, l), both in zip(two, ((0, 1), (0, 2), (1, 2)), sums):
-            np.bitwise_and(columns[i], columns[l], out=out)
-            np.bitwise_and(out, both, out=out)
-        three = next(rows)
-        np.bitwise_and(two[0], columns[2], out=three)
-        for both in sums[1:]:
-            np.bitwise_and(three, both, out=three)
-        for other in (two[1], two[2], beta):
-            np.bitwise_or(two[0], other, out=two[0])
+        two = []  # two[m]: the columns other than m and their XOR are nonzero
+        for i, l in ((1, 2), (0, 2), (0, 1)):
+            out = odd(y[i], y[l])
+            np.bitwise_and(out, columns[i], out=out)
+            np.bitwise_and(out, columns[l], out=out)
+            two.append(out)
+        three = odd(*y)
+        for out in two:
+            np.bitwise_and(three, out, out=three)
+        for out in two[1:] + [beta]:
+            np.bitwise_or(two[0], out, out=two[0])
         return [above, two[0], three]
 
 
@@ -398,8 +399,8 @@ def _packed_rank(mat: np.ndarray) -> np.ndarray:
     into the bit planes of its own run of words, padded with zero lanes,
     and each run is ranked by the sweep's kernel, one kernel per run
     width.  Exact only on alternating matrices (symmetric, zero diagonal),
-    the sweep's whole domain: pair pivoting returns even ranks only.  mat
-    is not modified.
+    the sweep's whole domain: the kernel returns even ranks only.  mat is
+    not modified.
     """
     n = mat.size
     bits = np.unpackbits(mat.astype("<u8").view(np.uint8).reshape(n, 8), axis=1, bitorder="little")
@@ -414,8 +415,8 @@ def _packed_rank(mat: np.ndarray) -> np.ndarray:
     grid = np.zeros((_FREE, 64 * bounds[-1]), dtype=np.uint8)
     grid[:, lane] = entries[order, :_FREE].T
     planes = np.packbits(grid, axis=1, bitorder="little").view("<u8")
-    # levels[t] of a word: its lanes whose rank/2 - s exceeds t
-    levels = np.zeros((4, bounds[-1]), dtype="<u8")
+    # levels[t] of a word: its lanes whose rank/2 - s exceeds t (at most 3)
+    levels = np.zeros((3, bounds[-1]), dtype="<u8")
     pivots = np.empty(bounds[-1], dtype=np.uint8)
     kernels: dict[int, _BitSliced] = {}
     for c, lo, hi in zip(cs.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):

@@ -259,6 +259,8 @@ def test_constant_pivots_match_elimination_for_every_block():
         want = _eliminated_ranks(lo[counters & 0x3FFF] | hi[counters >> 14])
         s, levels = kernel(c)
         assert len(levels) <= 4 - s
+        # nested, as the histogram's popcount differences need
+        assert not any((above & ~below).any() for below, above in zip(levels, levels[1:]))
         assert np.array_equal(2 * (s + _lane_levels(levels)), want), c
         pivots.add(s)
     assert pivots == {0, 1, 2}
