@@ -375,9 +375,9 @@ class _BitSliced:
             else:
                 np.bitwise_or(beta, acc, out=beta)
         columns = [nonzero(column) for column in y]
-        above = nonzero(columns + b)
+        any_entry = nonzero(columns + b)
         if len(y[0]) == 1:
-            return [above, beta]
+            return [any_entry, beta]
         two = []  # two[m]: the columns other than m and their XOR are nonzero
         for i, l in ((1, 2), (0, 2), (0, 1)):
             out = odd(y[i], y[l])
@@ -389,7 +389,7 @@ class _BitSliced:
             np.bitwise_and(three, out, out=three)
         for out in two[1:] + [beta]:
             np.bitwise_or(two[0], out, out=two[0])
-        return [above, two[0], three]
+        return [any_entry, two[0], three]
 
 
 def _packed_rank(mat: np.ndarray) -> np.ndarray:
@@ -427,8 +427,8 @@ def _packed_rank(mat: np.ndarray) -> np.ndarray:
         pivots[lo:hi], got = kernel(c)
         for t, level in enumerate(got):
             levels[t, lo:hi] = level
-    above = np.unpackbits(levels.view(np.uint8), axis=1, bitorder="little").sum(axis=0, dtype=np.uint8)
-    ranks = 2 * (np.repeat(pivots, 64) + above)
+    held = np.unpackbits(levels.view(np.uint8), axis=1, bitorder="little").sum(axis=0, dtype=np.uint8)
+    ranks = 2 * (np.repeat(pivots, 64) + held)
     out = np.empty(n, dtype=np.uint8)
     out[order] = ranks[lane]
     return out
@@ -556,7 +556,7 @@ def run_exhaustive_sweep(start: int = 0, stop: int = N3_SPAN, workers: int = 1) 
     # only a parallel sweep pays for the import.  On Linux the children are
     # forked, whatever the default start method (forkserver since Python
     # 3.14), so they start without importing numpy and f2rank again (about
-    # 0.2 s a child, against about 15 ms for a 2^24-counter range on one
+    # 0.2 s a child, against about 10 ms for a 2^24-counter range on one
     # worker); elsewhere they come from the platform's default
     import multiprocessing
 
