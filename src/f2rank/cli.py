@@ -41,10 +41,15 @@ _STDOUT_BYTES = 1 << 20  # output decoded and written to stdout at a time
 
 
 def _default_workers() -> int:
+    """The worker count F2RANK_THREADS sets, 1 when it is unset or empty."""
+    text = os.environ.get("F2RANK_THREADS") or "1"
     try:
-        return max(1, int(os.environ.get("F2RANK_THREADS", "1")))
+        value = int(text)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise ValueError(f"environment F2RANK_THREADS: must be a positive integer, got {text!r}")
+    return value
 
 
 def _worker_count(text: str) -> int:

@@ -20,14 +20,15 @@ word-wide boolean ops, 64 candidates at once: no elimination step runs on
 the planes.  In 868 of the 1024 blocks Y is one row, and the masks are
 whether the order-4 residual is nonzero and its Pfaffian, so the block is
 counted with two popcounts.  The sweep's whole result is its rank
-histogram, and the scalar reference path is the test oracle.  Every
-sweeping process, the caller and its children, claims blocks one at a time
-from a shared counter, and the histograms add, so the outcome is
-independent of worker count.
+histogram, and the scalar reference path is the test oracle.  Process k
+of W sweeping processes, the caller being k = 0, ranks every W-th block
+from the k-th on, and the histograms add, so the outcome is independent of
+worker count.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -258,23 +259,30 @@ def _pivot_forms(c: int) -> tuple[list[tuple[int, int]], list[int], list[int]]:
 
 
 class _BitSliced:
-    """The bit-sliced rank kernel for `words` words of candidates that share
-    one block C.
+    """The bit-sliced rank kernel for one sweep block: the _WORDS words of
+    candidates that share one block C.
 
     planes[p] holds entry p, that is counter bit p < _FREE, of the 64 lanes
-    of each word: every entry that touches vertices 0..2.  The 5x5 block C
-    on vertices 3..7, counter bits _FREE..27, is one integer per call.  The
-    planes are only read: an updated entry (i, j) goes to its own scratch
-    row _own[_PLANE[i][j]], and every other result to a row of _work.
-    Every row is a whole-width view made once, so a call slices nothing,
-    and one instance serves every block that one sweeping process ranks.
+    of each word: every entry that touches vertices 0..2.  They are the
+    same in every block, so they are filled here and made read-only.  The
+    5x5 block C on vertices 3..7, counter bits _FREE..27, is one integer
+    per call.  An updated entry (i, j) goes to its own scratch row
+    _own[_PLANE[i][j]], and every other result to a row of _work.  Every
+    row is a whole-width view made once, so a call slices nothing, and one
+    instance serves every block that one process ranks.
     """
 
-    def __init__(self, words: int):
-        self.planes = np.empty((_FREE, words), dtype=np.uint64)
-        self._own = list(np.empty((_FREE, words), dtype=np.uint64))
+    def __init__(self):
+        self.planes = np.empty((_FREE, _WORDS), dtype=np.uint64)
+        self.planes[:6] = _LANE_PLANES[:, None]
+        runs = np.array([[0], [_ONES]], dtype=np.uint64)
+        for b in range(_FREE - 6):
+            self.planes[6 + b].reshape(-1, 2, 1 << b)[:] = runs
+        # before any view is taken, so that every view is read-only too
+        self.planes.flags.writeable = False
+        self._own = list(np.empty((_FREE, _WORDS), dtype=np.uint64))
         # the most rows _residual_levels takes, for a Y of 3 or 5 rows
-        self._work = list(np.empty((11, words), dtype=np.uint64))
+        self._work = list(np.empty((11, _WORDS), dtype=np.uint64))
         # rows 0..2 of the entry table: the plane of each entry (i, j)
         self._table: list[list] = [[None] * N3_ORDER for _ in range(3)]
         for (i, j), plane in zip(N3_PAIRS, self.planes):
@@ -395,42 +403,28 @@ class _BitSliced:
 def _packed_rank(mat: np.ndarray) -> np.ndarray:
     """GF(2) rank of each packed 8x8 matrix (byte i = row i).
 
-    The matrices are grouped by their block C, each group is transposed
-    into the bit planes of its own run of words, padded with zero lanes,
-    and each run is ranked by the sweep's kernel, one kernel per run
-    width.  Exact only on alternating matrices (symmetric, zero diagonal),
+    A matrix's upper triangle, in N3_PAIRS order, is its sweep counter, so
+    it is a lane of the sweep block of its C: the kernel ranks each
+    distinct block once, and a matrix's rank is read off the levels at its
+    lane.  Exact only on alternating matrices (symmetric, zero diagonal),
     the sweep's whole domain: the kernel returns even ranks only.  mat is
     not modified.
     """
     n = mat.size
     bits = np.unpackbits(mat.astype("<u8").view(np.uint8).reshape(n, 8), axis=1, bitorder="little")
-    entries = bits[:, [8 * i + j for i, j in N3_PAIRS]]
-    block = entries[:, _FREE:].astype(np.intp) @ (1 << np.arange(len(N3_PAIRS) - _FREE))
-    order = np.argsort(block, kind="stable")
-    cs, first = np.unique(block[order], return_index=True)
-    sizes = np.diff(first, append=n)
-    bounds = np.concatenate([[0], np.cumsum(-(-sizes // 64))])
-    # the lane of matrix order[t]: group g starts at word bounds[g]
-    lane = np.arange(n) + np.repeat(64 * bounds[:-1] - first, sizes)
-    grid = np.zeros((_FREE, 64 * bounds[-1]), dtype=np.uint8)
-    grid[:, lane] = entries[order, :_FREE].T
-    planes = np.packbits(grid, axis=1, bitorder="little").view("<u8")
-    # levels[t] of a word: its lanes whose rank/2 - s exceeds t (at most 3)
-    levels = np.zeros((3, bounds[-1]), dtype="<u8")
-    pivots = np.empty(bounds[-1], dtype=np.uint8)
-    kernels: dict[int, _BitSliced] = {}
-    for c, lo, hi in zip(cs.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-        kernel = kernels.get(hi - lo)
-        if kernel is None:
-            kernel = kernels[hi - lo] = _BitSliced(hi - lo)
-        kernel.planes[:] = planes[:, lo:hi]
-        pivots[lo:hi], got = kernel(c)
-        for t, level in enumerate(got):
-            levels[t, lo:hi] = level
-    held = np.unpackbits(levels.view(np.uint8), axis=1, bitorder="little").sum(axis=0, dtype=np.uint8)
-    ranks = 2 * (np.repeat(pivots, 64) + held)
+    counters = bits[:, [8 * i + j for i, j in N3_PAIRS]].astype(np.intp) @ (1 << np.arange(len(N3_PAIRS)))
+    order = np.argsort(counters)
+    cs, first = np.unique(counters[order] >> _FREE, return_index=True)
+    lanes = counters[order] & (1 << _FREE) - 1
+    words, shifts = lanes >> 6, (lanes & 63).astype(np.uint64)
+    ranks = np.empty(n, dtype=np.uint8)
+    kernel = _BitSliced()
+    for c, lo, hi in zip(cs.tolist(), first.tolist(), [*first[1:].tolist(), n]):
+        s, levels = kernel(c)
+        held = sum(level[words[lo:hi]] >> shifts[lo:hi] & 1 for level in levels)
+        ranks[lo:hi] = 2 * (s + held)
     out = np.empty(n, dtype=np.uint8)
-    out[order] = ranks[lane]
+    out[order] = ranks
     return out
 
 
@@ -452,17 +446,13 @@ def _sweep_blocks(start: int, stop: int, blocks) -> SweepStats:
 
     Counter 64w + l is lane l of word w.  Words go in aligned blocks of
     _WORDS, whose counters share bits _FREE..27, so the block index is C,
-    and the planes of bits 0.._FREE-1 are the same in every block: lane
-    patterns, then runs of zero and all-ones words, filled once, before the
-    first block is taken.  The kernel ranks every word of a block, and a
-    block the range covers in part counts only its lanes in [start, stop).
+    and the planes of bits 0.._FREE-1 are the same in every block: the
+    kernel builds them once, before the first block is taken.  The kernel
+    ranks every word of a block, and a block the range covers in part
+    counts only its lanes in [start, stop).
     """
     counts = [0] * (N3_ORDER + 1)
-    kernel = _BitSliced(_WORDS)
-    kernel.planes[:6] = _LANE_PLANES[:, None]
-    runs = np.array([[0], [_ONES]], dtype=np.uint64)
-    for b in range(_FREE - 6):
-        kernel.planes[6 + b].reshape(-1, 2, 1 << b)[:] = runs
+    kernel = _BitSliced()
     for block in blocks:
         s, levels = kernel(block)
         base = block << _FREE
@@ -497,27 +487,21 @@ class SweepWorkerError(RuntimeError):
     """A sweep worker process raised, or exited without sending its result."""
 
 
-def _claimed(next_block, stop_block: int):
-    """Sweep blocks taken one at a time from the shared counter next_block
-    (a multiprocessing.Value) until stop_block: every sweeping process draws
-    from it, so each block goes to exactly one of them."""
-    while True:
-        with next_block.get_lock():
-            block = next_block.value
-            next_block.value = block + 1
-        if block >= stop_block:
-            return
-        yield block
-
-
-def _sweep_child(start: int, stop: int, next_block, stop_block: int, conn) -> None:
-    """A sweep worker process: sends the SweepStats of the blocks it
-    claimed, or the text of the exception that stopped it."""
+def _sweep_child(start: int, stop: int, blocks: range, conn) -> None:
+    """A sweep worker process: sends the SweepStats of its blocks, or the
+    text of the exception that stopped it."""
     try:
-        result = _sweep_blocks(start, stop, _claimed(next_block, stop_block))
+        result = _sweep_blocks(start, stop, blocks)
     except Exception as exc:
         result = f"{type(exc).__name__}: {exc}"
     conn.send(result)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _received(child, recv) -> SweepStats:
@@ -536,21 +520,22 @@ def _received(child, recv) -> SweepStats:
 
 
 def run_exhaustive_sweep(start: int = 0, stop: int = N3_SPAN, workers: int = 1) -> SweepStats:
-    """Sweep counters [start, stop) on min(workers, blocks) processes: the
-    caller and one child for each other worker.
+    """Sweep counters [start, stop) on min(workers, blocks, usable CPUs)
+    processes: the caller and one child for each other process.
 
-    One worker is sweep_range.  Otherwise each process builds one kernel
-    and claims sweep blocks one at a time from a shared counter, so a
-    process that runs faster ranks more of them; histograms add, so the
-    result does not depend on which process ranks a block.  The caller
-    reads each child's pipe between its blocks, so when a child raises or
-    exits without its result, every other child is terminated and joined
-    at once, and SweepWorkerError is raised; no child outlives the call.
+    One process is sweep_range.  Otherwise process k of W, the caller
+    being k = 0, builds one kernel and ranks every W-th sweep block from
+    the k-th on, so each block goes to exactly one process; histograms
+    add, so the result does not depend on which process ranks a block.
+    The caller reads each child's pipe between its blocks, so when a child
+    raises or exits without its result, every other child is terminated
+    and joined at once, and SweepWorkerError is raised; no child outlives
+    the call.
     """
     if not 0 <= start < stop <= N3_SPAN:
         raise ValueError(f"sweep range needs 0 <= start < stop <= {N3_SPAN}, got [{start}, {stop})")
     first, stop_block = _block_bounds(start, stop)
-    processes = min(workers, stop_block - first)
+    processes = min(workers, stop_block - first, _usable_cpus())
     if processes <= 1:
         return sweep_range(start, stop)
     # only a parallel sweep pays for the import.  On Linux the children are
@@ -561,7 +546,6 @@ def run_exhaustive_sweep(start: int = 0, stop: int = N3_SPAN, workers: int = 1) 
     import multiprocessing
 
     context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-    next_block = context.Value("q", first)
     children = []
     parts = []  # each child's result, read as soon as it is sent
 
@@ -572,15 +556,14 @@ def run_exhaustive_sweep(start: int = 0, stop: int = N3_SPAN, workers: int = 1) 
 
     done = False
     try:
-        for _ in range(processes - 1):
+        for k in range(1, processes):
             recv, send = context.Pipe(duplex=False)
-            child = context.Process(
-                target=_sweep_child, args=(start, stop, next_block, stop_block, send), daemon=True
-            )
+            blocks = range(first + k, stop_block, processes)
+            child = context.Process(target=_sweep_child, args=(start, stop, blocks, send), daemon=True)
             child.start()
             send.close()
             children.append((child, recv))
-        total = _sweep_blocks(start, stop, polled(_claimed(next_block, stop_block)))
+        total = _sweep_blocks(start, stop, polled(range(first, stop_block, processes)))
         parts.extend(_received(c, r) for c, r in children if not r.closed)
         for part in parts:
             total = total.merge(part)

@@ -25,6 +25,7 @@ from f2rank.products import (
     sign_map,
     unsign_map,
 )
+from f2rank import search
 from f2rank.search import (
     enumerate_n2,
     isomorphic,
@@ -207,7 +208,7 @@ def test_criterion_13_decomposition_invariants():
     _report(13, ok, "u=uhat, rank(B)=n-2, u outside rowsp(B), s=t, relations and dichotomy for m=2..5", t0, 60)
 
 
-def test_criterion_14_determinism(tmp_path, capsys):
+def test_criterion_14_determinism(tmp_path, capsys, monkeypatch):
     t0 = time.perf_counter()
     ok = True
     # byte-identical CLI output on repeated runs
@@ -230,7 +231,9 @@ def test_criterion_14_determinism(tmp_path, capsys):
             outs.add(out)
             ok = ok and code == 0
         ok = ok and len(outs) == 1
-    # sweep result is identical for 1, 2, 4, 8 workers (histograms add over blocks)
+    # sweep result is identical for 1, 2, 4, 8 workers (histograms add over
+    # blocks), with enough CPUs taken to be usable that all of them start
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 8)
     results = [run_exhaustive_sweep(stop=1 << 24, workers=w) for w in (1, 2, 4, 8)]
     ok = ok and all(r == results[0] for r in results)
     with capsys.disabled():

@@ -398,6 +398,20 @@ def test_search_workers_env(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_search_bad_workers_env(capsys, monkeypatch, value):
+    monkeypatch.setenv("F2RANK_THREADS", value)
+    code, out, err = run(capsys, "search", "--mode", "n3-exhaustive", "--stop", "64")
+    assert code == 2 and out == ""
+    assert err == f"error: environment F2RANK_THREADS: must be a positive integer, got {value!r}\n"
+
+
+def test_search_empty_workers_env_means_one(capsys, monkeypatch):
+    monkeypatch.setenv("F2RANK_THREADS", "")
+    code, out, _ = run(capsys, "search", "--mode", "n3-exhaustive", "--stop", "64")
+    assert code == 0 and json.loads(out)["candidates_examined"] == 64
+
+
 def test_iso_command(tmp_path, capsys):
     a = tmp_path / "a.f2m"
     b = tmp_path / "b.f2m"

@@ -3,7 +3,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
-import signal
 import sys
 from itertools import combinations
 
@@ -247,17 +246,15 @@ def test_constant_pivots_match_elimination_for_every_block():
 
     lo, hi = _counter_half_tables()
     first, words = 1000, 64
-    kernel = search._BitSliced(words)
-    word_index = np.arange(first, first + words)
-    kernel.planes[:6] = search._LANE_PLANES[:, None]
-    for b in range(search._FREE - 6):
-        kernel.planes[6 + b] = np.where(word_index >> b & 1, search._ONES, np.uint64(0))
+    kernel = search._BitSliced()
+    assert not kernel.planes.flags.writeable
     low = np.arange(64 * first, 64 * (first + words))
     pivots = set()
     for c in range(1 << 10):
         counters = c << 18 | low
         want = _eliminated_ranks(lo[counters & 0x3FFF] | hi[counters >> 14])
         s, levels = kernel(c)
+        levels = [level[first : first + words] for level in levels]
         assert len(levels) <= 4 - s
         # nested, as the histogram's popcount differences need
         assert not any((above & ~below).any() for below, above in zip(levels, levels[1:]))
@@ -373,6 +370,17 @@ def test_sweep_worker_independence_small():
 
 
 @pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of CPUs the sweep takes this process to have, which
+    caps its process count."""
+
+    def patch(count):
+        monkeypatch.setattr(search, "_usable_cpus", lambda: count)
+
+    return patch
+
+
+@pytest.fixture
 def started(monkeypatch):
     """The sweep processes started while a test runs, from any context."""
     procs = []
@@ -386,7 +394,8 @@ def started(monkeypatch):
     return procs
 
 
-def test_sweep_starts_one_child_per_extra_block_worker(started):
+def test_sweep_starts_one_child_per_extra_block_worker(cpus, started):
+    cpus(8)
     start, stop = _MULTI_BLOCK_RANGES[0]  # four blocks
     serial = sweep_range(start, stop)
     for workers, children in ((1, 0), (2, 1), (3, 2), (4, 3), (64, 3)):
@@ -402,23 +411,37 @@ def test_sweep_starts_one_child_per_extra_block_worker(started):
     assert multiprocessing.active_children() == []
 
 
-def test_sweep_claims_each_block_once_with_more_workers_than_cores():
-    # eight processes contend for the shared block counter; a lost update
-    # ranks a block twice or never, which changes the histogram
-    start, stop = (3 << 18) - 5, (19 << 18) + 5  # 17 blocks
-    want = sweep_range(start, stop)
+def test_sweep_starts_no_more_processes_than_cpus(cpus, started):
+    cpus(3)
+    start, stop = _MULTI_BLOCK_RANGES[0]  # four blocks
+    assert run_exhaustive_sweep(start=start, stop=stop, workers=64) == sweep_range(start, stop)
+    assert len(started) == 2
+    assert all(p.exitcode == 0 for p in started)
+    assert multiprocessing.active_children() == []
 
-    def expire(signum, frame):
-        raise TimeoutError("the sweep took more than 60 s")
 
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    try:
-        for _ in range(3):
-            assert run_exhaustive_sweep(start=start, stop=stop, workers=8) == want
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+def test_sweep_strides_cover_each_block_once(cpus, monkeypatch):
+    # each process counts the blocks it was given, one histogram slot per
+    # block: the merged counts are 1 on exactly the blocks of the range
+    cpus(8)
+    parent, caller = os.getpid(), []
+
+    def counted(start, stop, blocks):
+        counts = [0] * (N3_SPAN >> search._FREE)
+        blocks = list(blocks)
+        if os.getpid() == parent:
+            caller.append(blocks)
+        for block in blocks:
+            counts[block] += 1
+        return SweepStats(counts)
+
+    monkeypatch.setattr(search, "_sweep_blocks", counted)
+    start, stop = (3 << 18) - 5, (19 << 18) + 5  # blocks 2..19
+    want = [int(2 <= block < 20) for block in range(N3_SPAN >> search._FREE)]
+    for workers in range(2, 9):
+        del caller[:]
+        assert run_exhaustive_sweep(start=start, stop=stop, workers=workers).rank_counts == want
+        assert caller == [list(range(2, 20, workers))]
     assert multiprocessing.active_children() == []
 
 
@@ -427,10 +450,10 @@ def _failing_kernel(monkeypatch, fail, in_children=True):
     in_children=False every one built in this process, call fail()."""
     parent, init = os.getpid(), search._BitSliced.__init__
 
-    def patched(self, words):
+    def patched(self):
         if (os.getpid() != parent) == in_children:
             fail()
-        init(self, words)
+        init(self)
 
     monkeypatch.setattr(search._BitSliced, "__init__", patched)
 
@@ -450,7 +473,8 @@ def _raise():
         ),
     ],
 )
-def test_sweep_worker_failure_is_one_error(monkeypatch, capsys, fail, message):
+def test_sweep_worker_failure_is_one_error(monkeypatch, capsys, cpus, fail, message):
+    cpus(3)
     _failing_kernel(monkeypatch, fail)
     start, stop = _MULTI_BLOCK_RANGES[0]
     with pytest.raises(search.SweepWorkerError):
@@ -466,9 +490,10 @@ def test_sweep_worker_failure_is_one_error(monkeypatch, capsys, fail, message):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="sweep children are forked on Linux only")
-def test_sweep_children_are_forked_whatever_the_default_start_method(monkeypatch):
+def test_sweep_children_are_forked_whatever_the_default_start_method(monkeypatch, cpus):
     # the kernel patch reaches a child only if it is forked from this
     # process: a spawned child imports search again and sweeps unpatched
+    cpus(2)
     previous = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method("spawn", force=True)
     try:
@@ -481,25 +506,26 @@ def test_sweep_children_are_forked_whatever_the_default_start_method(monkeypatch
     assert multiprocessing.active_children() == []
 
 
-def test_sweep_failure_in_caller_stops_children(monkeypatch):
+def test_sweep_failure_in_caller_stops_children(monkeypatch, cpus):
+    cpus(3)
     _failing_kernel(monkeypatch, _raise, in_children=False)
     with pytest.raises(MemoryError):
         run_exhaustive_sweep(start=0, stop=N3_SPAN, workers=3)
     assert multiprocessing.active_children() == []
 
 
-def test_sweep_stops_soon_after_a_child_dies(monkeypatch):
+def test_sweep_stops_soon_after_a_child_dies(monkeypatch, cpus):
     # the caller reads the children's pipes between its blocks, so a child
     # that exits at once is noticed long before the caller has ranked the
-    # blocks it would have taken
-    counters = []
-    claimed = search._claimed
-    monkeypatch.setattr(search, "_claimed", lambda counter, stop: counters.append(counter) or claimed(counter, stop))
+    # blocks of its stride, half of them
+    cpus(2)
+    calls = []
+    call = search._BitSliced.__call__
+    monkeypatch.setattr(search._BitSliced, "__call__", lambda self, c: calls.append(c) or call(self, c))
     monkeypatch.setattr(search, "_sweep_child", lambda *args: os._exit(3))
     with pytest.raises(search.SweepWorkerError, match="exited with code 3"):
         run_exhaustive_sweep(start=0, stop=N3_SPAN, workers=2)
-    [counter] = counters  # the caller's: the child never claims
-    assert counter.value < (N3_SPAN >> search._FREE) // 2
+    assert len(calls) < (N3_SPAN >> search._FREE) // 2  # the caller's: the child never ranks
     assert multiprocessing.active_children() == []
 
 
