@@ -6,16 +6,19 @@ full_report reads the pairwise, regularity and Hadamard claims off the
 standard form on its codes (codes.subspace_codes) once it has certified
 that form exactly; other inputs go through one Gram matrix G = A A^T.  The
 coset decomposition certifies the block structure of symmetric
-zero-diagonal subspace matrices:
+zero-diagonal subspace matrices, reordered so that row k is the XOR of
+the basis rows P selected by k's binary digits:
 
-* level 1 reorders the rows so that row k is the XOR of the basis rows
-  selected by k's binary digits, splits off the top-left quadrant B and
-  the coset vector u (the first half of row 2^(n-1), whose second half
-  equals u);
+* level 1 splits off the top-left quadrant B and the coset vector u (the
+  first half of row 2^(n-1), whose second half equals u);
 * level 2 splits B the same way in its inherited order: C is the
   top-left quadrant of B and w is the first quarter of B's middle row;
   x and y are the first and second halves of u, and (s, t) are the third
   and fourth quarters of the full reordered row that starts with (w, w).
+
+Entry (k, l) of the reordered matrix is k^T F l, with F = A[P, P] the
+n x n form on the basis, so decomposition_invariants reads every claim
+off F; only coset_decompose builds the reordered matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import is_standard_form, subspace_codes
-from .gf2 import BitMatrix, BitVector, rank_of_row_ints, row_space_contains
+from .gf2 import BitMatrix, BitVector, rank_of_row_ints
 from .graph import Graph, first_offence, is_negation_free, is_twin_free
 from .spectral import Spectrum, analytic_spectrum, graph_spectrum
 
@@ -107,11 +110,6 @@ class CosetDecomposition:
     reordered: BitMatrix
     top_block: BitMatrix
     coset_vector: BitVector
-
-    @property
-    def coset_vector_second_half(self) -> BitVector:
-        half = self.top_block.rows
-        return self.reordered.row(half).slice(half, 2 * half)
 
 
 # ---------------------------------------------------------------------------
@@ -384,28 +382,11 @@ def _is_symmetric_zero_diag(a: BitMatrix) -> bool:
     return a.rows == a.cols and first_offence(a) is None
 
 
-def _block_identity(m: np.ndarray, v: np.ndarray) -> bool:
-    """m = [B | B+V^T ; B+V | B+V+V^T], with B the top-left quadrant of m
-    and every row of V equal to v."""
-    h = v.size
-    b = m[:h, :h]
-    return (
-        np.array_equal(m[:h, h:], b ^ v[:, None])
-        and np.array_equal(m[h:, :h], b ^ v)
-        and np.array_equal(m[h:, h:], b ^ v ^ v[:, None])
-    )
-
-
-def _coset_order(a: BitMatrix | Graph, codes: object = _UNTESTED) -> tuple[np.ndarray, np.ndarray]:
-    """The coset permutation of a subspace matrix and the matrix conjugated
-    by it, as a dense 0/1 array whose level-1 block identity holds.  A
-    caller that ran subspace_codes(a) passes its result, None included.
-
-    The codes c_i of the rows list range(2^n) and are a linear bijection of
-    the rows, so the row with coordinates k in the basis P is the one whose
-    code is the XOR of the c_p selected by k's binary digits: one argsort
-    of the codes inverts them.
-    """
+def _subspace_basis(
+    a: BitMatrix | Graph, codes: object = _UNTESTED
+) -> tuple[BitMatrix, list[int], np.ndarray]:
+    """The adjacency of a subspace matrix, its basis and its codes.  A
+    caller that ran subspace_codes(a) passes its result, None included."""
     if isinstance(a, Graph):
         a = a.adj
     elif not _is_symmetric_zero_diag(a):
@@ -416,20 +397,41 @@ def _coset_order(a: BitMatrix | Graph, codes: object = _UNTESTED) -> tuple[np.nd
     basis, codes = found
     if not basis:
         raise NotSubspaceMatrixError("decomposition needs rank >= 1")
-    rows = a.packed
+    return a, basis, codes
+
+
+def _span(vectors) -> np.ndarray:
+    """Entry k is the XOR of the vectors selected by k's binary digits."""
     span = np.zeros(1, dtype=np.int64)
-    for c in codes[basis]:
-        span = np.concatenate([span, span ^ c])
-    perm = np.argsort(codes)[span]
+    for v in vectors:
+        span = np.concatenate([span, span ^ v])
+    return span
+
+
+def _coset_order(a: BitMatrix | Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The coset permutation of a subspace matrix and the matrix conjugated
+    by it, as a dense 0/1 array whose level-1 block identity holds.
+
+    The codes c_i of the rows list range(2^n) and are a linear bijection of
+    the rows, so the row with coordinates k in the basis P is the one whose
+    code is the XOR of the c_p selected by k's binary digits: one argsort
+    of the codes inverts them.
+    """
+    a, basis, codes = _subspace_basis(a)
+    perm = np.argsort(codes)[_span(codes[basis])]
     # a is symmetric, so the transpose of a[perm] is a[:, perm], and its rows
     # in order perm are a[perm][:, perm]: both gathers run on packed bytes
-    gathered = BitMatrix.from_packed(rows[perm], a.cols).transpose().packed[perm]
+    gathered = BitMatrix.from_packed(a.packed[perm], a.cols).transpose().packed[perm]
     dense = np.unpackbits(gathered, axis=1, count=a.cols, bitorder="little")
     half = a.rows // 2
-    u = dense[half, :half]
+    b, u = dense[:half, :half], dense[half, :half]
     if not np.array_equal(u, dense[half, half:]):
         raise AssertionError("coset vector halves differ on a symmetric input")
-    if not _block_identity(dense, u):
+    if not (
+        np.array_equal(dense[:half, half:], b ^ u[:, None])
+        and np.array_equal(dense[half:, :half], b ^ u)
+        and np.array_equal(dense[half:, half:], b ^ u ^ u[:, None])
+    ):
         raise AssertionError("coset block identity violated")
     return perm, dense
 
@@ -454,97 +456,83 @@ def coset_decompose(a: BitMatrix | Graph) -> CosetDecomposition:
     return CosetDecomposition(perm.tolist(), basis, reordered, top_block, u)
 
 
-def _spans(m: np.ndarray, dim: int) -> BitMatrix:
-    """Rows 2^t, t < dim, of a block of the reordered matrix: row k of it
-    is the XOR of these over k's binary digits, so they span its rows."""
-    return BitMatrix.from_bool_array(m[1 << np.arange(dim)])
-
-
-def _vector(v: np.ndarray) -> BitVector:
-    return BitMatrix.from_bool_array(v[None]).row(0)
-
-
 def decomposition_invariants(a: BitMatrix | Graph, *, codes: object = _UNTESTED) -> VerificationReport:
     """Run both decomposition levels and check every block-structure claim.
 
-    Index conventions: u is the first half of reordered row 2^(n-1) (its
-    second half is checked equal); x, y are the first and second halves
-    of u; w is the first quarter of reordered row 2^(n-2), and (s, t) are
-    that row's third and fourth quarters.  A caller that ran
-    subspace_codes(a) passes its result, None included, as codes.
+    The vectors are named as in the module docstring.  Every entry is read
+    off the form F = A[P, P], held as n integers f[t] with entry (P_t, P_s)
+    at bit s: reordered row k is the XOR of the basis rows selected by k's
+    digits and A is symmetric, so reordered entry (k, l) is k^T F l.  A
+    caller that ran subspace_codes(a) passes its result, None included.
     """
     report = VerificationReport()
     try:
-        _, r = _coset_order(a, codes)
+        a, basis, _ = _subspace_basis(a, codes)
     except (NotSubspaceMatrixError, ValueError) as exc:
         report.add("preconditions", False, str(exc))
         return report
     report.add("preconditions", True, "symmetric zero-diagonal subspace matrix")
-    half = len(r) // 2
-    n_dim = half.bit_length()
-    b = r[:half, :half]
-    u = r[half, :half]
-    report.add("u_equals_uhat", np.array_equal(u, r[half, half:]), "")
+    n = len(basis)
+    p = np.asarray(basis, dtype=np.intp)
+    bits = (a.packed[np.ix_(p, p >> 3)] >> (p & 7)) & 1
+    f = [int(r) for r in bits.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))]
+
+    def entry(t: int, s: int) -> int:
+        return f[t] >> s & 1
+
+    def in_span(v: int, rows: list[int], width: int) -> bool:
+        return rank_of_row_ints(rows + [v], width) == rank_of_row_ints(rows, width)
+
+    # B is F on the first n - 1 coordinates and u is f[n - 1] on them; the
+    # second half of row 2^(n-1) is u plus the constant F[n-1][n-1]
+    report.add("u_equals_uhat", entry(n - 1, n - 1) == 0, "")
     report.add("block_identity", True, "reordered = [B | B+U^T ; B+U | B+U+U^T]")
-    b_spans = _spans(b, n_dim - 1)
-    rank_b = rank_of_row_ints(b_spans.row_ints(), half)
-    report.add("rank_top_block", rank_b == n_dim - 2, f"rank(B) = {rank_b}, expected {n_dim - 2}")
-    u_in = row_space_contains(b_spans, _vector(u))
+    mask = (1 << (n - 1)) - 1
+    b, u = [r & mask for r in f[: n - 1]], f[n - 1] & mask
+    rank_b = rank_of_row_ints(b, n - 1)
+    report.add("rank_top_block", rank_b == n - 2, f"rank(B) = {rank_b}, expected {n - 2}")
+    u_in = in_span(u, b, n - 1)
     report.add("u_outside_top_block_rowspace", not u_in, "u is not a combination of rows of B")
-    if n_dim < 2:
+    if n < 2:
         report.add("second_level", False, "needs rank >= 2")
         return report
 
-    q = half // 2
-    c = b[:q, :q]
-    w = b[q, :q]
-    second_ok = np.array_equal(w, b[q, q:]) and _block_identity(b, w)
+    # C, w and x are F, f[n - 2] and f[n - 1] on the first n - 2
+    # coordinates; s = w + F[n-2][n-1] and y = x + F[n-1][n-2] entrywise,
+    # and each second-level identity adds the constant F[n-2][n-2]
+    second_ok = entry(n - 2, n - 2) == 0
     report.add("second_level_block_identity", second_ok, "B = [C | C+W^T ; C+W | C+W+W^T]")
-
-    x, y = u[:q], u[q:]
-    s, t = r[q, 2 * q : 3 * q], r[q, 3 * q :]
-    report.add("s_equals_t", np.array_equal(s, t), "")
-    rel = any(np.array_equal(w, s ^ f) and np.array_equal(x, y ^ f) for f in (0, 1))
+    report.add("s_equals_t", second_ok, "")
+    rel = entry(n - 2, n - 1) == entry(n - 1, n - 2)
     report.add("w_s_x_y_relation", rel, "either (w=s and x=y) or (w=~s and x=~y)")
-    c_spans = _spans(c, n_dim - 2)
-    x_in = row_space_contains(c_spans, _vector(x))
-    w_in = row_space_contains(c_spans, _vector(w))
+    mask >>= 1
+    c, x, w = [r & mask for r in f[: n - 2]], f[n - 1] & mask, f[n - 2] & mask
+    x_in, w_in = (in_span(v, c, n - 2) for v in (x, w))
     report.add(
         "x_w_membership_dichotomy",
         x_in == w_in,
         f"x in rowspace(C): {x_in}; w in rowspace(C): {w_in}",
     )
-    if x_in or w_in or n_dim < 4:
+    if x_in or w_in or n < 4:
         skipped = "skipped: applies only when x and w both lie outside rowspace(C)"
         report.add("quarter_intersections", True, skipped)
         report.add("tiled_quarter_block", True, skipped)
         return report
 
-    expected = 1 << (n_dim - 4)
-    sizes = [int(np.count_nonzero((x == xi) & (w == wi))) for xi in (0, 1) for wi in (0, 1)]
+    expected = 1 << (n - 4)
+    # position i of C is in class 2 x_i + w_i, x_i = parity(x & i), w_i = parity(w & i)
+    classes = _span([2 * (x >> t & 1) + (w >> t & 1) for t in range(n - 2)])
+    sizes = np.bincount(classes, minlength=4).tolist()
     report.add(
         "quarter_intersections",
         all(sz == expected for sz in sizes),
         f"support intersection sizes {sizes}, expected {expected} each",
     )
-    # make the four (w_i, x_i) classes contiguous, then C must be the 4x4
-    # tiling of its top-left quarter.  Row k of C is linear in k, so a zero
-    # row r of C (an element of its radical) gives C[i ^ r][j] = C[i][j]:
-    # ordering each class by i ^ r, with r the class's own zero row, lines
-    # the classes up entrywise whatever the input vertex order was
-    zero = ~c.any(axis=1)
-    order: list[int] = []
-    for key in range(4):  # (w_i, x_i) = (0, 0), (0, 1), (1, 0), (1, 1)
-        members = np.flatnonzero(2 * w + x == key)
-        roots = members[zero[members]]
-        if not roots.size:
-            break
-        order += members[np.argsort(members ^ roots[0])].tolist()
-    tiled = len(order) == q
-    if tiled:
-        quarter = q // 4
-        tiles = c[np.ix_(order, order)].reshape(4, quarter, 4, quarter)
-        tiled = bool((tiles == tiles[:1, :, :1]).all())
+    # the zero rows of C are its radical, and C[i ^ r][j ^ r'] = C[i][j] for r, r' in it:
+    # ordering each class by i ^ r, r a zero row in the class, tiles C by its
+    # quarter block, so the check passes iff every class holds a zero row
+    zero = _span(c) == 0
+    tiled = np.unique(classes[zero]).size == 4
     report.add("tiled_quarter_block", tiled, "C equals the 4x4 tiling of its quarter block D")
     return report
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from f2rank import verify
-from f2rank.constructions import complete_graph, g2_power
+from f2rank.codes import subspace_codes
+from f2rank.constructions import complete_graph, g2_power, linegraph_clique_plus_isolated
 from f2rank.gf2 import (
     BitMatrix,
     BitVector,
@@ -96,7 +97,8 @@ def _oracle_decomposition_invariants(a: BitMatrix | Graph) -> VerificationReport
     n_dim = len(d.basis)
     b = d.top_block
     u = d.coset_vector
-    report.add("u_equals_uhat", u == d.coset_vector_second_half, "")
+    half = b.rows
+    report.add("u_equals_uhat", u == d.reordered.row(half).slice(half, 2 * half), "")
     report.add("block_identity", True, "reordered = [B | B+U^T ; B+U | B+U+U^T]")
     rank_b = rank_of_row_ints(b.row_ints(), b.cols)
     report.add("rank_top_block", rank_b == n_dim - 2, f"rank(B) = {rank_b}, expected {n_dim - 2}")
@@ -109,7 +111,6 @@ def _oracle_decomposition_invariants(a: BitMatrix | Graph) -> VerificationReport
         report.add("second_level", False, "needs rank >= 2")
         return report
 
-    half = b.rows
     q = half // 2
     idx_q = list(range(q))
     c = b.submatrix(idx_q, idx_q)
@@ -203,18 +204,31 @@ def test_coset_order_gather_matches_dense_take(m):
 
 def test_decomposition_matches_oracle():
     rng = random.Random(51)
+    # L(K6)+K1 is a rank-4 subspace matrix the standard-form builder does not make
+    lk6 = linegraph_clique_plus_isolated(6)
+    members = [(lk6, 3)] + [
+        (g2_power(m), count) for m, count in ((1, 3), (2, 6), (3, 12), (4, 6), (5, 2))
+    ]
     evaluated = 0
-    for m, count in ((1, 3), (2, 6), (3, 12), (4, 6), (5, 2)):
-        for g in [g2_power(m)] + [relabel(g2_power(m), rng) for _ in range(count)]:
-            want = _oracle_decomposition_invariants(g.adj)
-            assert _entries(decomposition_invariants(g.adj)) == _entries(want)
-            assert _entries(decomposition_invariants(g)) == _entries(want)
+    dichotomy = set()
+    for member, count in members:
+        for g in [member] + [relabel(member, rng) for _ in range(count)]:
+            want = _entries(_oracle_decomposition_invariants(g.adj))
+            assert _entries(decomposition_invariants(g.adj)) == want
+            assert _entries(decomposition_invariants(g)) == want
+            assert _entries(decomposition_invariants(g.adj, codes=subspace_codes(g.adj))) == want
             got, ref = coset_decompose(g), _oracle_coset_decompose(g)
             assert (got.perm, got.basis, got.reordered, got.top_block, got.coset_vector) == (
                 ref.perm, ref.basis, ref.reordered, ref.top_block, ref.coset_vector
             )
-            evaluated += not want["tiled_quarter_block"].details.startswith("skipped")
+            details = {name: text for name, _, text in want}
+            evaluated += not details["tiled_quarter_block"].startswith("skipped")
+            dichotomy.add(details["x_w_membership_dichotomy"])
     assert evaluated >= 4
+    # both branches: x and w inside rowspace(C), and both outside it
+    assert dichotomy == {
+        f"x in rowspace(C): {inside}; w in rowspace(C): {inside}" for inside in (True, False)
+    }
     bad = (complete_graph(4).adj, BitMatrix.zeros(4, 4), BitMatrix.from_strings(["01", "00"]))
     for a in bad:
         want = _oracle_decomposition_invariants(a)
@@ -296,5 +310,17 @@ def test_family_report_builds_no_square_array(member_4096):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * n * n
+    assert peak < n * n
+
+
+def test_decomposition_reads_no_square_array(member_4096):
+    # the invariants read the n x n form F on the basis, not the reordered N x N matrix
+    codes = subspace_codes(member_4096.adj)
+    tracemalloc.start()
+    try:
+        assert decomposition_invariants(member_4096, codes=codes).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * member_4096.order
 
