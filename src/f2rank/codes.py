@@ -2,8 +2,8 @@
 rows list a linear subspace once each is the standard alternating form on
 one code per vertex, entry (i, j) = parity(c_i & J c_j) with J swapping
 code bits 2t and 2t + 1.  Only this module knows that layout: the family
-code sets, the form on a code set, the exact check that a matrix is that
-form, and the extraction of the codes from a matrix.
+code sets, the form on a code set, its exact check, and the extraction of
+the codes of a matrix, which that check certifies.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, echelon
+from .gf2 import BitMatrix, echelon, rank
 
 # code bits (2t, 2t + 1) of base-4 digit t: 0 -> 01, 1 -> 10, 2 -> 11, 3 -> 00
 _G2_CODES = np.array([2, 1, 3, 0])
+_BLOCK_ROWS = 128  # rows per block of the compare in subspace_codes
 
 
 def g2_power_codes(m: int) -> np.ndarray:
@@ -46,16 +47,16 @@ def standard_form_blocks(codes: np.ndarray, block_rows: int) -> Iterator[np.ndar
     bits = (codes >> (np.arange(width) ^ 1)[:, None]) & 1
     flipped = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
     tables = []
-    for lo in range(0, width, 8):
-        table = np.zeros((1, flipped.shape[1]), dtype=np.uint8)
-        for col in flipped[lo : lo + 8]:
-            table = np.concatenate([table, table ^ col])
+    for lo in range(0, max(width, 1), 8):
+        table = np.zeros((1 << min(width - lo, 8), flipped.shape[1]), dtype=np.uint8)
+        for t, col in enumerate(flipped[lo : lo + 8]):
+            np.bitwise_xor(table[: 1 << t], col, out=table[1 << t : 2 << t])
         tables.append(table)
     for lo in range(0, len(codes), block_rows):
         block = codes[lo : lo + block_rows]
-        rows = np.zeros((block.size, flipped.shape[1]), dtype=np.uint8)
-        for t, table in enumerate(tables):
-            rows ^= table[(block >> 8 * t) & 255]
+        rows = tables[0].take(block & 255, axis=0)
+        for t in range(1, len(tables)):
+            rows ^= tables[t].take((block >> 8 * t) & 255, axis=0)
         yield rows
 
 
@@ -97,44 +98,45 @@ def subspace_codes(m: BitMatrix) -> tuple[list[int], np.ndarray] | None:
     of a symmetric zero-diagonal m whose rows list a linear subspace once
     each, else None.  A row's code is its coordinates in a symplectic basis.
 
-    With P the basis and k_i the coordinates of row i in it, entry (i, j)
-    is k_i^T M k_j where M = m[P, P], a nondegenerate alternating form,
-    and y_i = row i restricted to the columns P is k_i^T M.  Symplectic
+    Such an m has a zero row, order N = 2^n and basis P its first n
+    independent rows.  With k_i the coordinates of row i in P, entry (i, j)
+    is k_i^T M k_j where M = m[P, P], a nondegenerate alternating form, and
+    y_i = row i restricted to the columns P is k_i^T M.  Symplectic
     Gram-Schmidt on M in a fixed order (the lowest remaining vector u, the
     first remaining v with M(u, v) = 1, the rest made orthogonal to both)
     gives pairs (u_a, v_a).  Code bit 2a is y_i . v_a and bit 2a+1 is
-    y_i . u_a, k_i's coordinates on u_a and v_a, so m is the standard form
-    on the codes, and the codes are a linear bijection of the y_i onto
-    range(2^n).  Costs O(N n) after the elimination, plus O(n^3).
+    y_i . u_a, k_i's coordinates on u_a and v_a, so the codes list range(N)
+    and m is the standard form on them.  Conversely, if that holds, the rows
+    are the images of GF(2)^n under the injective map c -> <c, J .>: one
+    is_standard_form decides.  Costs O(N n), O(n^3) on M, and the compare.
+    Raises ValueError if m is not square, or if its rows list a subspace
+    and M is not a nondegenerate alternating form (never so if m is
+    symmetric with zero diagonal).
     """
     if m.rows != m.cols:
         raise ValueError("symplectic coordinates need a square matrix")
-    # distinct rows in a span of 2^rank vectors list all of it, zero included;
-    # the zero-row test first skips most eliminations and integer conversions
-    if m.packed.any(axis=1).all():
+    order = m.rows
+    # only an order 2^n with a zero row can list a subspace: most inputs stop here
+    if order & (order - 1) or m.packed.any(axis=1).all():
         return None
-    rows = m.row_ints()
-    if len(set(rows)) != m.rows:
+    n = order.bit_length() - 1
+    basis = echelon((m.row_int(i) for i in range(order)), n)[1]
+    if len(basis) < n:
         return None
-    basis = echelon(rows)[1]
-    if m.rows != 1 << len(basis):
-        return None
-    n = len(basis)
     p = np.asarray(basis, dtype=np.intp)
     y = ((m.packed[:, p >> 3] >> (p & 7)) & 1).astype(np.int64)
     form = y[p]
-    if not np.array_equal(form, form.T) or form.diagonal().any():
-        raise ValueError("basis block is not an alternating form")
     # vectors of GF(2)^n are n-bit integers; M(x, z) is the parity of x & Mz
     form_rows = (form << np.arange(n)).sum(axis=1).tolist()
-    remaining = [1 << i for i in range(n)]
+    alternating = np.array_equal(form, form.T) and not form.diagonal().any()
+    remaining = [1 << i for i in range(n)] if alternating else []
     pairs = []  # v_0, u_0, v_1, u_1, ...
     while remaining:
         u = remaining.pop(0)
         mu = _xor_rows(form_rows, u)
         k = next((k for k, w in enumerate(remaining) if (w & mu).bit_count() & 1), None)
-        if k is None:
-            raise ValueError("basis block is a degenerate form")
+        if k is None:  # M is degenerate
+            break
         v = remaining.pop(k)
         mv = _xor_rows(form_rows, v)
         # w + M(w, v) u + M(w, u) v is orthogonal to both u and v
@@ -143,5 +145,11 @@ def subspace_codes(m: BitMatrix) -> tuple[list[int], np.ndarray] | None:
             for w in remaining
         ]
         pairs += [v, u]
+    if len(pairs) < n:
+        # a symmetric zero-diagonal m gets here only when rank(m) > n
+        if len(np.unique(m.packed, axis=0)) == order and rank(m) == n:
+            raise ValueError("basis block is not a nondegenerate alternating form")
+        return None
     columns = (np.array(pairs, dtype=np.int64) >> np.arange(n)[:, None]) & 1
-    return basis, (y @ columns & 1) @ (1 << np.arange(n, dtype=np.int64))
+    codes = (y @ columns & 1) @ (1 << np.arange(n, dtype=np.int64))
+    return (basis, codes) if is_standard_form(m, codes, _BLOCK_ROWS) else None

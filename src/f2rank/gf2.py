@@ -448,18 +448,21 @@ def _reduce(pivots: dict[int, int], v: int) -> int:
     return v
 
 
-def echelon(row_ints: Iterable[int]) -> tuple[dict[int, int], list[int]]:
-    """Leading-bit echelon of packed rows, inserted in order.
+def echelon(row_ints: Iterable[int], limit: int | None = None) -> tuple[dict[int, int], list[int]]:
+    """Leading-bit echelon of packed rows, inserted in order, stopping
+    once it holds limit pivots (no stop when limit is None).
 
     A row that reduces to zero depends on the rows before it; any other
     row becomes a new pivot keyed by the highest set bit of its reduction.
     Returns (pivots, independent): the pivot rows by leading bit, and the
     ascending indices of the rows that became pivots, which is the greedy
-    first-appearance basis of the row space.
+    first-appearance basis of the rows read.
     """
     pivots: dict[int, int] = {}
-    independent = []
+    independent: list[int] = []
     for i, r in enumerate(row_ints):
+        if len(independent) == limit:
+            break
         v = _reduce(pivots, r)
         if v:
             pivots[v.bit_length() - 1] = v
@@ -481,21 +484,6 @@ _COMBINATIONS = np.arange(256)  # index of each combination in a table
 # block bytes that one _byte_rank update gathers and XORs at a time, so the
 # gathered table rows are still in cache when they are XORed
 _UPDATE_BYTES = 1 << 19
-
-
-def _independent(values: Iterable[int]) -> list[int]:
-    """Positions of the byte values that a leading-bit echelon keeps when
-    they are inserted in order, stopping at 8 (a full span)."""
-    pivots: dict[int, int] = {}
-    chosen = []
-    for i, x in enumerate(values):
-        v = _reduce(pivots, x)
-        if v:
-            pivots[v.bit_length() - 1] = v
-            chosen.append(i)
-            if len(chosen) == 8:
-                break
-    return chosen
 
 
 def _byte_rank(packed: np.ndarray) -> int:
@@ -536,11 +524,11 @@ def _byte_rank(packed: np.ndarray) -> int:
                 break
             j += 1 + int(later.argmax())
             continue
-        chosen = _independent(col[:_PIVOT_PREFIX].tolist())
+        chosen = echelon(col[:_PIVOT_PREFIX].tolist(), 8)[1]
         if len(chosen) < 8 and col[_PIVOT_PREFIX:].any():
             values, first = np.unique(col, return_index=True)
             order = np.argsort(first)
-            chosen = first[order][_independent(values[order].tolist())].tolist()
+            chosen = first[order][echelon(values[order].tolist(), 8)[1]].tolist()
         # the chosen rows move to 0..k-1 and the rows there move to the
         # places the chosen ones left, in one gather
         k = len(chosen)

@@ -153,11 +153,26 @@ class Graph:
         return f"Graph(order={self.order}, edges={self.edge_count()})"
 
 
-def _distinct_rows(packed: np.ndarray) -> int:
-    """Number of distinct rows of a C-contiguous 2-D uint8 array."""
-    if not packed.shape[1]:
-        return min(len(packed), 1)
-    return np.unique(packed.view(np.dtype((np.void, packed.shape[1])))).size
+def _twin_and_negation_free(g: Graph) -> tuple[bool, bool]:
+    """is_twin_free(g) and is_negation_free(g) from one sort of the rows.
+
+    A row and its complement differ in column 0, so keying each row by
+    whichever of the two has column 0 clear maps two distinct rows to one
+    key exactly when they are complements.  The distinct rows are the
+    distinct (key, column-0 bit) pairs."""
+    if not g.order:
+        return True, True
+    rows = g.adj.packed
+    bit0 = rows[:, 0] & 1
+    full = BitMatrix(1, g.order, [(1 << g.order) - 1]).packed
+    keys = np.bitwise_xor(rows, full, out=rows.copy(), where=bit0[:, None] == 1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    perm = keys.argsort()
+    ordered = keys[perm]
+    # the key class of each row in sorted order, numbered from 1
+    key = np.cumsum(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    distinct_rows = np.unique(2 * key + bit0[perm]).size
+    return distinct_rows == g.order, distinct_rows == key[-1]
 
 
 def is_twin_free(g: Graph) -> bool:
@@ -167,20 +182,12 @@ def is_twin_free(g: Graph) -> bool:
     already forces u and v non-adjacent (u in N(v) would put u in N(u)),
     so adjacent twins need no separate treatment.
     """
-    return _distinct_rows(g.adj.packed) == g.order
+    return _twin_and_negation_free(g)[0]
 
 
 def is_negation_free(g: Graph) -> bool:
-    """No neighbour set is the complement (within V) of another.
-
-    A row and its complement differ in column 0, so keying each row by
-    whichever of the two has column 0 clear maps two distinct rows to one
-    key exactly when they are complements.
-    """
-    rows = g.adj.packed
-    full = BitMatrix(1, g.order, [(1 << g.order) - 1]).packed
-    keys = rows ^ (rows[:, :1] & 1) * full
-    return _distinct_rows(keys) == _distinct_rows(rows)
+    """No neighbour set is the complement (within V) of another."""
+    return _twin_and_negation_free(g)[1]
 
 
 def line_graph(g: Graph) -> Graph:

@@ -3,8 +3,8 @@
 Every checker is a pure function; failures are data (report entries),
 never exceptions, so complete reports can be emitted for bad inputs.
 full_report reads the pairwise, regularity and Hadamard claims off the
-standard form on its codes (codes.subspace_codes) once it has certified
-that form exactly; other inputs go through one Gram matrix G = A A^T.  The
+codes that codes.subspace_codes finds, which certify the input as the
+standard form on them; other inputs go through one Gram matrix G = A A^T.  The
 coset decomposition certifies the block structure of symmetric
 zero-diagonal subspace matrices, reordered so that row k is the XOR of
 the basis rows P selected by k's binary digits:
@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import is_standard_form, subspace_codes
+from .codes import subspace_codes
 from .gf2 import BitMatrix, BitVector, rank_of_row_ints
-from .graph import Graph, first_offence, is_negation_free, is_twin_free
+from .graph import Graph, _twin_and_negation_free, first_offence
 from .spectral import Spectrum, analytic_spectrum, graph_spectrum
 
 # orders above this get no spectrum payload from full_report
@@ -122,8 +122,8 @@ BLOCK_ROWS = 128
 
 @dataclass(frozen=True)
 class _Gram:
-    # adj and gram are None when the standard form certified the input:
-    # every check then passes, and no witness search reads them
+    # adj and gram are None when the input is the standard form on its
+    # codes: every check then passes, and no witness search reads them
     adj: np.ndarray | None  # boolean adjacency A
     gram: np.ndarray | None  # float32 G = A A^T; G_ij counts common neighbours of i, j
     degrees: np.ndarray  # int64 diag(G)
@@ -184,18 +184,14 @@ def _scan(k: _Gram, core: np.ndarray) -> _Scan:
     return _Scan(hadamard, hist)
 
 
-def _standard_form(a: BitMatrix, codes: np.ndarray) -> tuple[_Gram, _Scan] | None:
-    """The degrees and the _Scan of a, read off its codes, if
-    codes.is_standard_form certifies a as the standard form on them; else
-    None.  The form is nondegenerate: code 0 is isolated, every other
-    vertex has degree N/2, and two distinct nonzero codes give independent
-    functionals, so every pair of core vertices has co-degree N/4.  Then
-    N - 2 d_i - 2 d_j + 4 G_ij, the identity _scan tests, is 0 for all
-    i != j: S is Hadamard.
-    """
-    if not is_standard_form(a, codes, BLOCK_ROWS):
-        return None
-    order = a.rows
+def _standard_form(codes: np.ndarray) -> tuple[_Gram, _Scan]:
+    """The degrees and the _Scan of the standard form on codes, which list
+    range(N) once each, read off the codes.  The form is nondegenerate:
+    code 0 is isolated, every other vertex has degree N/2, and two
+    distinct nonzero codes give independent functionals, so every pair of
+    core vertices has co-degree N/4.  Then N - 2 d_i - 2 d_j + 4 G_ij, the
+    identity _scan tests, is 0 for all i != j: S is Hadamard."""
+    order = codes.size
     core = order - 1
     hist = np.zeros((2, order + 1), dtype=np.int64)
     hist[1, order // 4] = core * (order // 2)
@@ -557,8 +553,8 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
     power of two.  The spectrum payload (and the analytic comparison) is
     computed only for orders up to SPECTRUM_CAP.  One subspace_codes feeds
     the rank, the subspace check, the standard form and the decomposition.
-    The pairwise, regularity and Hadamard checks read the
-    standard form when _standard_form certifies it, else one _scan of G.
+    The pairwise, regularity and Hadamard checks read _standard_form on the
+    codes when it finds them, else one _scan of G.
     """
     order = g.order
     inferred = order.bit_length() - 1 if order > 0 and order & (order - 1) == 0 else None
@@ -570,8 +566,9 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
     else:
         order_ok = False
         report.add("order", False, f"order {order} is not a power of two")
-    report.add("twin_free", is_twin_free(g), "all neighbourhood rows distinct")
-    report.add("negation_free", is_negation_free(g), "no row is the complement of another")
+    twin_free, negation_free = _twin_and_negation_free(g)
+    report.add("twin_free", twin_free, "all neighbourhood rows distinct")
+    report.add("negation_free", negation_free, "no row is the complement of another")
     found = subspace_codes(g.adj)
     r = g.rank() if found is None else len(found[0])
     if n is not None:
@@ -579,11 +576,10 @@ def full_report(g: Graph, expect_n: int | None = None) -> FullVerification:
     else:
         report.add("rank", False, f"rank {r}, no expected value (order not a power of two)")
     report.add("rows_form_subspace", found is not None, "")
-    form = None if found is None else _standard_form(g.adj, found[1])
-    k = _gram(g) if form is None else form[0]
+    k, scan = (_gram(g), None) if found is None else _standard_form(found[1])
     # the core drops the isolated vertices, which changes no co-degree
     core = np.flatnonzero(k.degrees)
-    scan = _scan(k, core) if form is None else form[1]
+    scan = _scan(k, core) if scan is None else scan
     isolated = order - core.size
     report.add("unique_isolated_vertex", isolated == 1, f"isolated vertices: {isolated}")
 

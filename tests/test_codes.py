@@ -8,6 +8,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f2rank.codes import (
     is_standard_form,
@@ -22,7 +23,7 @@ from f2rank.constructions import (
     g2_power,
     linegraph_clique_plus_isolated,
 )
-from f2rank.gf2 import BitMatrix
+from f2rank.gf2 import BitMatrix, rank_of_row_ints
 from f2rank.graph import Graph
 
 from conftest import random_graph, relabel
@@ -75,12 +76,9 @@ def _reference_codes(m: BitMatrix) -> tuple[list[int], list[int]]:
     def combine(vectors, mask):
         return [sum((mask >> k) & 1 and vec[t] for k, vec in enumerate(vectors)) % 2 for t in range(n)]
 
-    codes = []
-    for r in rows:
-        coords = [(span[r] >> t) & 1 for t in range(n)]
-        # bit 2a is the coefficient of u_a, bit 2a+1 that of v_a
-        codes.append(next(c for c in range(1 << n) if combine(symplectic, c) == coords))
-    return basis, codes
+    # bit 2a of a code is the coefficient of u_a, bit 2a+1 that of v_a
+    code_of = {tuple(combine(symplectic, c)): c for c in range(1 << n)}
+    return basis, [code_of[tuple((span[r] >> t) & 1 for t in range(n))] for r in rows]
 
 
 def _family_inputs(rng: random.Random, max_m: int) -> list[Graph]:
@@ -191,3 +189,59 @@ def test_subspace_codes_give_standard_form():
         assert n % 2 == 0 and sorted(codes.tolist()) == list(range(g.order))
         assert np.array_equal(_definition(codes), g.adj.to_bool_array())
         assert is_standard_form(g.adj, codes, 128)
+
+
+def test_subspace_codes_convert_rows_one_at_a_time(monkeypatch):
+    # the elimination stops at the prefix basis and converts only the rows
+    # it reads; the whole-matrix conversion is never needed
+    rng = random.Random(20)
+    inputs = [linegraph_clique_plus_isolated(6).adj]
+    inputs += [relabel(g2_power(m), rng).adj for m in range(1, 7)]
+    want = [_reference_codes(a) for a in inputs]
+
+    def no_row_ints(self):
+        raise AssertionError("row_ints called")
+
+    monkeypatch.setattr(BitMatrix, "row_ints", no_row_ints)
+    for a, (basis, codes) in zip(inputs, want):
+        found = subspace_codes(a)
+        assert found is not None
+        assert (found[0], found[1].tolist()) == (basis, codes)
+
+
+def _oracle(m: BitMatrix):
+    """subspace_codes by full elimination: the rows list a subspace iff
+    they are distinct and their rank is log2 of the order; then the
+    reference codes."""
+    rows = m.row_ints()
+    n = m.rows.bit_length() - 1
+    if m.rows == 1 << n and len(set(rows)) == m.rows and rank_of_row_ints(rows, m.cols) == n:
+        return _reference_codes(m)
+    return None
+
+
+@st.composite
+def _near_subspace_matrices(draw):
+    rnd = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["member", "flip", "zero_row", "repeated", "non_spanning"]))
+    m = draw(st.integers(1, 3))
+    if kind in ("member", "flip"):
+        a = relabel(g2_power(m), rnd).adj
+        if kind == "flip":
+            i, j = rnd.sample(range(a.rows), 2)
+            a = _flip(_flip(a, i, j), j, i)
+        return a
+    if kind == "zero_row":
+        # symmetric, zero diagonal, one zero row: the basis block may be degenerate
+        return relabel(random_graph(rnd, 4**m - 1).add_isolated_vertex(), rnd).adj
+    codes = np.array([rnd.randrange(4**m) for _ in range(4**m)])
+    if kind == "non_spanning":
+        codes &= rnd.getrandbits(2 * m)
+    return standard_form(codes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_subspace_matrices())
+def test_subspace_codes_match_full_elimination(a):
+    found = subspace_codes(a)
+    assert (None if found is None else (found[0], found[1].tolist())) == _oracle(a)

@@ -245,20 +245,21 @@ def _flip(g: Graph, i: int, j: int) -> Graph:
     return Graph(g.adj.set_bit(i, j, bit).set_bit(j, i, bit))
 
 
-def _both_paths(monkeypatch, g: Graph, codes=None):
-    """full_report of g as given, with codes in place of the extracted ones
-    in the standard-form check when given, then forced onto the Gram path;
-    returns both results and the number of Gram matrices the first one
-    built."""
+def _both_paths(monkeypatch, g: Graph):
+    """full_report of g as given, then with the family path stubbed to
+    read the Gram matrix instead of the codes; returns both results and
+    the number of Gram matrices the first one built."""
     grams = []
     gram = verify._gram
     monkeypatch.setattr(verify, "_gram", lambda g: grams.append(g.order) or gram(g))
-    if codes is not None:
-        check = verify.is_standard_form
-        monkeypatch.setattr(verify, "is_standard_form", lambda a, _, rows: check(a, codes, rows))
     first = full_report(g)
     built = len(grams)
-    monkeypatch.setattr(verify, "is_standard_form", lambda *args: False)
+
+    def from_gram(codes):
+        k = verify._gram(g)
+        return k, verify._scan(k, np.flatnonzero(k.degrees))
+
+    monkeypatch.setattr(verify, "_standard_form", from_gram)
     second = full_report(g)
     monkeypatch.undo()
     assert len(grams) == built + 1
@@ -288,17 +289,6 @@ def test_flipped_edge_takes_gram_path(monkeypatch, m):
     fast, slow, grams = _both_paths(monkeypatch, _flip(g, *rng.sample(range(g.order), 2)))
     assert grams == 1
     assert fast == slow and not fast.report.passed
-
-
-def test_swapped_codes_fail_the_certificate(monkeypatch):
-    g = relabel(g2_power(3), random.Random(56))
-    _, codes = verify.subspace_codes(g.adj)
-    i, j = np.flatnonzero(codes)[:2]
-    codes[[i, j]] = codes[[j, i]]
-    assert verify._standard_form(g.adj, codes) is None
-    fast, slow, grams = _both_paths(monkeypatch, g, codes)
-    assert grams == 1
-    assert fast == slow and fast.report.passed
 
 
 def test_family_report_builds_no_square_array(member_4096):

@@ -204,6 +204,37 @@ def test_negation_free_matches_naive():
         assert is_negation_free(g) == naive
 
 
+def _planted(rng: random.Random, n: int, plant: str) -> Graph:
+    """A random graph of order n, with one vertex v made a twin or the
+    complement of another vertex u when plant asks for it."""
+    a = np.triu(np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(n)], dtype=bool), 1)
+    a |= a.T
+    if n >= 2 and plant != "none":
+        u, v = rng.sample(range(n), 2)
+        # a twin is not adjacent to u; a complement of N(u) holds u but not v
+        a[v] = a[u] if plant == "twin" else ~a[u]
+        a[v, u] = plant == "complement"
+        a[v, v] = False
+        a[:, v] = a[v]
+    return Graph(BitMatrix.from_bool_array(a))
+
+
+def test_one_sort_predicates_match_naive():
+    # widths on both sides of every byte boundary up to 70 columns
+    rng = random.Random(11)
+    for n in range(71):
+        for plant in ("none", "twin", "complement"):
+            g = _planted(rng, n, plant)
+            rows = [tuple(r) for r in g.adj.to_bool_array().tolist()]
+            distinct = set(rows)
+            twin_free = len(distinct) == n
+            # no row is its own complement, so a complement in the set is another row's
+            negation_free = not any(tuple(not x for x in r) in distinct for r in rows)
+            assert (is_twin_free(g), is_negation_free(g)) == (twin_free, negation_free)
+            assert plant != "twin" or n < 2 or not twin_free
+            assert plant != "complement" or n < 2 or not negation_free
+
+
 def test_plumbing():
     g = g2()
     assert g.degree(3) == 0
