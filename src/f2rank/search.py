@@ -23,7 +23,8 @@ counted with two popcounts.  The sweep's whole result is its rank
 histogram, and the scalar reference path is the test oracle.  Process k
 of W sweeping processes, the caller being k = 0, ranks every W-th block
 from the k-th on, and the histograms add, so the outcome is independent of
-worker count.
+worker count.  W is at most one process per _BLOCKS_PER_PROCESS blocks of
+the range, so a smaller range is swept in the caller alone.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ _FREE = 18  # counter bits 0..17 are the entries that touch vertices 0..2
 # on vertices 3..7, and the 18 free planes take 0.6 MB
 _WORDS = 1 << (_FREE - 6)
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+# the sweep blocks each process must rank for a child to repay its start,
+# pipe and join: on a 2-CPU Xeon two processes tie with one at 64 blocks
+# and win from 80 on
+_BLOCKS_PER_PROCESS = 48
 
 # _PLANE[i][j] = the counter bit, so the plane, of entry (i, j); -1 on the diagonal
 _PLANE = [
@@ -520,29 +525,30 @@ def _received(child, recv) -> SweepStats:
 
 
 def run_exhaustive_sweep(start: int = 0, stop: int = N3_SPAN, workers: int = 1) -> SweepStats:
-    """Sweep counters [start, stop) on min(workers, blocks, usable CPUs)
-    processes: the caller and one child for each other process.
+    """Sweep counters [start, stop) on W = max(1, min(workers, usable CPUs,
+    blocks // _BLOCKS_PER_PROCESS)) processes: the caller and one child for
+    each other process.
 
-    One process is sweep_range.  Otherwise process k of W, the caller
-    being k = 0, builds one kernel and ranks every W-th sweep block from
-    the k-th on, so each block goes to exactly one process; histograms
-    add, so the result does not depend on which process ranks a block.
-    The caller reads each child's pipe between its blocks, so when a child
-    raises or exits without its result, every other child is terminated
-    and joined at once, and SweepWorkerError is raised; no child outlives
-    the call.
+    One process is sweep_range, with no child, pipe or multiprocessing
+    import.  Otherwise process k of W, the caller being k = 0, builds one
+    kernel and ranks every W-th sweep block from the k-th on, so each block
+    goes to exactly one process; histograms add, so the result does not
+    depend on which process ranks a block.  The caller reads each child's
+    pipe between its blocks, so when a child raises or exits without its
+    result, every other child is terminated and joined at once, and
+    SweepWorkerError is raised; no child outlives the call.
     """
     if not 0 <= start < stop <= N3_SPAN:
         raise ValueError(f"sweep range needs 0 <= start < stop <= {N3_SPAN}, got [{start}, {stop})")
     first, stop_block = _block_bounds(start, stop)
-    processes = min(workers, stop_block - first, _usable_cpus())
+    processes = min(workers, _usable_cpus(), (stop_block - first) // _BLOCKS_PER_PROCESS)
     if processes <= 1:
         return sweep_range(start, stop)
     # only a parallel sweep pays for the import.  On Linux the children are
     # forked, whatever the default start method (forkserver since Python
     # 3.14), so they start without importing numpy and f2rank again (about
-    # 0.2 s a child, against about 10 ms for a 2^24-counter range on one
-    # worker); elsewhere they come from the platform's default
+    # 0.2 s a child, against about 20 ms for the smallest range that starts
+    # one); elsewhere they come from the platform's default
     import multiprocessing
 
     context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
@@ -651,11 +657,13 @@ def _refine_colors(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
 
 def _check_witness(g: Graph, h: Graph, mapping: list[int]) -> None:
     """Raise AssertionError unless mapping is a bijection carrying g onto h."""
+    if sorted(mapping) != list(range(g.order)):
+        raise AssertionError("witness is not a bijection")
     sigma = np.asarray(mapping, dtype=np.intp)
-    if not (
-        sorted(mapping) == list(range(g.order))
-        and np.array_equal(g.adj.to_bool_array(), h.adj.to_bool_array()[np.ix_(sigma, sigma)])
-    ):
+    # h is symmetric, so the transpose of h[sigma] is h[:, sigma], and its
+    # rows in order sigma are h[sigma][:, sigma]: both gathers run on packed bytes
+    gathered = BitMatrix.from_packed(h.adj.packed[sigma], h.order).transpose().packed[sigma]
+    if not np.array_equal(g.adj.packed, gathered):
         raise AssertionError("witness bijection failed final verification")
 
 

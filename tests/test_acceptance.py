@@ -232,8 +232,10 @@ def test_criterion_14_determinism(tmp_path, capsys, monkeypatch):
             ok = ok and code == 0
         ok = ok and len(outs) == 1
     # sweep result is identical for 1, 2, 4, 8 workers (histograms add over
-    # blocks), with enough CPUs taken to be usable that all of them start
+    # blocks), with enough CPUs taken to be usable, and one block taken to
+    # repay a child, that all of them start
     monkeypatch.setattr(search, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(search, "_BLOCKS_PER_PROCESS", 1)
     results = [run_exhaustive_sweep(stop=1 << 24, workers=w) for w in (1, 2, 4, 8)]
     ok = ok and all(r == results[0] for r in results)
     with capsys.disabled():

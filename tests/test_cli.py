@@ -386,9 +386,16 @@ def test_search_negative_workers(capsys):
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    # only a parallel sweep imports it, so verify, iso and construct never pay for it
+    # only a sweep that starts a child imports it, so verify, iso, construct
+    # and a sweep of less than two processes' shares never pay for it
     src = os.path.dirname(os.path.dirname(f2rank.__file__))
-    code = "import sys, f2rank.cli; sys.exit('multiprocessing' in sys.modules)"
+    code = (
+        "import sys, f2rank.cli, f2rank.search as s\n"
+        "s._usable_cpus = lambda: 64\n"
+        "stop = (2 * s._BLOCKS_PER_PROCESS - 1) << 18\n"
+        "assert s.run_exhaustive_sweep(0, stop, workers=64) == s.sweep_range(0, stop)\n"
+        "sys.exit('multiprocessing' in sys.modules)"
+    )
     assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
 
 

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -19,6 +20,7 @@ from f2rank.search import (
     N3_PAIRS,
     N3_SPAN,
     SweepStats,
+    _BLOCKS_PER_PROCESS,
     _backtrack_isomorphism,
     _refine_colors,
     _rows_from_counter,
@@ -293,10 +295,11 @@ def _rank_of_block(block: int) -> int:
     return rank_of_row_ints(_rows_from_counter(block << 18, 8, N3_PAIRS), 8)
 
 
-def test_sweep_across_rank4_blocks_mid_word_matches_reference():
+def test_sweep_across_rank4_blocks_mid_word_matches_reference(cpus):
     # ranges over two and three blocks whose C has rank 4 (the residual of
     # order 4, counted from two popcounts), starting and stopping inside a
     # word, so the first and the last word of the range are masked
+    cpus(3)
     span = 1 << 18
     edges = [b for b in range(1, 1 << 10) if _rank_of_block(b - 1) == _rank_of_block(b) == 4]
     assert len(edges) > 600
@@ -352,8 +355,9 @@ _MULTI_BLOCK_RANGES = [
 ]
 
 
-def test_sweep_partition_independence():
+def test_sweep_partition_independence(cpus):
     # however the blocks fall to processes, every counter is ranked once
+    cpus(4)
     for start, stop in _MULTI_BLOCK_RANGES:
         whole = sweep_range(start, stop)
         assert whole.candidates_examined == stop - start
@@ -361,8 +365,9 @@ def test_sweep_partition_independence():
             assert run_exhaustive_sweep(start=start, stop=stop, workers=workers) == whole
 
 
-def test_sweep_worker_independence_small():
+def test_sweep_worker_independence_small(cpus):
     # slices small enough for the scalar oracle, across a block edge
+    cpus(4)
     for start, stop in (((1 << 18) - 300, (1 << 18) + 200), ((5 << 18) - 7, (5 << 18) + 65)):
         want = sweep_range_reference(start, stop)
         for workers in (1, 2, 3, 4):
@@ -371,11 +376,13 @@ def test_sweep_worker_independence_small():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the number of CPUs the sweep takes this process to have, which
-    caps its process count."""
+    """Set the number of CPUs the sweep takes this process to have and the
+    blocks each process must rank, which both cap its process count; share
+    is one unless given, so that ranges of a few blocks start children."""
 
-    def patch(count):
+    def patch(count, share=1):
         monkeypatch.setattr(search, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(search, "_BLOCKS_PER_PROCESS", share)
 
     return patch
 
@@ -408,6 +415,28 @@ def test_sweep_starts_one_child_per_extra_block_worker(cpus, started):
         del started[:]
         assert run_exhaustive_sweep(*bounds, workers=64) == sweep_range(*bounds)
         assert started == []
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "blocks, workers, children",
+    [
+        # the benchmark's slice, 2^24 counters, is less than two processes' shares
+        (64, 2, 0),
+        (64, 3, 0),
+        (64, 64, 0),
+        (2 * _BLOCKS_PER_PROCESS - 1, 64, 0),
+        (2 * _BLOCKS_PER_PROCESS, 2, 1),
+        (2 * _BLOCKS_PER_PROCESS, 64, 1),
+    ],
+)
+def test_sweep_starts_a_child_per_share_of_blocks(cpus, started, blocks, workers, children):
+    cpus(64, _BLOCKS_PER_PROCESS)
+    start = 5 << 22
+    stop = start + (blocks << 18)
+    assert run_exhaustive_sweep(start=start, stop=stop, workers=workers) == sweep_range(start, stop)
+    assert len(started) == children
+    assert all(p.exitcode == 0 for p in started)
     assert multiprocessing.active_children() == []
 
 
@@ -735,6 +764,26 @@ def test_isomorphic_subspace_against_non_subspace():
             for a, b in ((g, other), (other, g)):
                 assert isomorphic(a, b) == (False, None)
                 assert _backtrack_isomorphism(a, b) == (False, None)
+
+
+def test_isomorphic_checks_order_4096_witness_on_packed_rows():
+    # the check compares packed rows: two unpacked adjacencies would take 2 N^2 bytes
+    g = g2_power(6)
+    h = relabel(g, random.Random(49))
+    n = g.order
+    tracemalloc.start()
+    try:
+        ok, mapping = isomorphic(g, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and h.adj.conjugate(mapping) == g.adj
+    assert peak < n * n // 2
+    # swapping the images of two vertices with different neighbourhoods breaks it
+    wrong = list(mapping)
+    wrong[0], wrong[1] = wrong[1], wrong[0]
+    with pytest.raises(AssertionError):
+        search._check_witness(g, h, wrong)
 
 
 def test_isomorphic_checks_every_witness(monkeypatch):
